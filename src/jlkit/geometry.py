@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,36 +46,113 @@ class FailureRateEstimate:
     wilson_interval: tuple[float, float]
 
 
-def pairwise_sq_dists(points: np.ndarray, block: int = 1024) -> np.ndarray:
+# Rows per block of the pairwise kernel: at m = 5000 each of a block's
+# temporaries stays near 10 MB, and the per-block Python overhead is small
+# against its GEMM.
+_BLOCK = 256
+
+# A squared distance computed as |x|^2 + |y|^2 - 2 x.y for equal rows x = y
+# is rounding noise of at most about this times d (|x|^2 + |y|^2); pairs
+# below it are compared row by row and set to exactly 0 when the rows match.
+_DUP_TOL = 4.0 * np.finfo(np.float64).eps
+
+
+class _RowLabels:
+    """Labels rows so that two rows share a label exactly when they are bitwise equal.
+
+    A row is labelled on first use, against the earlier rows whose bytes
+    hash alike, so the work is O(d) per labelled row however many pairs
+    are asked about, and no copy of the data is kept.
+    """
+
+    def __init__(self, points: np.ndarray):
+        self._points = points
+        self._labels = np.full(points.shape[0], -1, dtype=np.intp)
+        self._buckets: dict[int, list[int]] = {}
+
+    def __call__(self, rows: np.ndarray) -> np.ndarray:
+        for i in np.unique(rows[self._labels[rows] < 0]):
+            row = self._points[i].tobytes()
+            bucket = self._buckets.setdefault(hash(row), [])
+            match = next((r for r in bucket if self._points[r].tobytes() == row), None)
+            if match is None:
+                bucket.append(i)
+                match = i
+            self._labels[i] = match
+        return self._labels[rows]
+
+
+def _upper_blocks(points: np.ndarray, block: int) -> Iterator[np.ndarray]:
+    """Yield the condensed squared distances of pairs i < j, one row block at a time.
+
+    For rows [s, e) only the Gram block X[s:e] @ X[s:].T is computed.  Its
+    strict upper triangle (column > row), read in row-major order, is the
+    run of the condensed i < j vector that belongs to those rows, so the
+    yielded arrays, concatenated, are that vector.  Each pair is
+    ||x_i||^2 + ||x_j||^2 - 2 x_i.x_j clamped at 0, except that a pair of
+    bitwise-equal rows is exactly 0.
+    """
+    m, d = points.shape
+    norms = np.einsum("ij,ij->i", points, points)
+    col_max = np.maximum.accumulate(norms[::-1])[::-1]  # max of norms[s:]
+    upper = np.arange(min(block, m))[:, None] < np.arange(m)
+    labels = _RowLabels(points)
+    for s in range(0, m, block):
+        e = min(s + block, m)
+        sq = points[s:e] @ points[s:].T
+        sq *= -2.0
+        sq += norms[s:e, None] + norms[s:]
+        np.maximum(sq, 0.0, out=sq)
+        seg = sq[upper[: e - s, : m - s]]
+        del sq  # only the upper triangle stays alive while the caller works
+        near = np.flatnonzero(seg <= _DUP_TOL * d * (norms[s:e].max() + col_max[s]))
+        if near.size:
+            # Row r of the block starts its run at starts[r] and covers
+            # columns s + r + 1 .. m - 1.
+            counts = m - s - 1 - np.arange(e - s)
+            starts = np.cumsum(counts) - counts
+            r = np.searchsorted(starts, near, side="right") - 1
+            i = s + r
+            j = i + 1 + near - starts[r]
+            close = seg[near] <= _DUP_TOL * d * (norms[i] + norms[j])
+            near, i, j = near[close], i[close], j[close]
+            seg[near[labels(i) == labels(j)]] = 0.0
+        yield seg
+
+
+def pairwise_sq_dists(points: np.ndarray, block: int = _BLOCK) -> np.ndarray:
     """Condensed vector of squared Euclidean distances over all pairs i < j.
 
-    Processed in row blocks for cache friendliness; every pair is computed
-    independently as ||x_i||^2 + ||x_j||^2 - 2 x_i.x_j, so the result does
-    not depend on the block size.
+    Computed in row blocks of the upper triangle: rows [s, s+block) are
+    multiplied only against rows s.. onward, so the Gram work is half of a
+    full product.  Every pair is ||x_i||^2 + ||x_j||^2 - 2 x_i.x_j from its
+    own norms and dot product, clamped at 0, so the result does not depend
+    on the block size beyond BLAS rounding.  Pairs of bitwise-equal rows
+    are exactly 0: the expansion leaves them rounding noise, so pairs
+    within that noise are compared row by row.
     """
     points = np.asarray(points, dtype=np.float64)
     m = points.shape[0]
-    norms = np.einsum("ij,ij->i", points, points)
     out = np.empty(m * (m - 1) // 2, dtype=np.float64)
     pos = 0
-    for start in range(0, m, block):
-        stop = min(start + block, m)
-        dots = points[start:stop] @ points.T
-        for i in range(start, stop):
-            row = norms[i] + norms[i + 1 :] - 2.0 * dots[i - start, i + 1 :]
-            np.maximum(row, 0.0, out=row)
-            out[pos : pos + row.size] = row
-            pos += row.size
+    for seg in _upper_blocks(points, block):
+        out[pos : pos + seg.size] = seg
+        pos += seg.size
     return out
 
 
 def distortion_report(original: Dataset, projected: Dataset, delta: float) -> DistortionReport:
     """Check every pair against the distortion band [1-delta, 1+delta].
 
-    Quotients are adjusted by n/n'.  Pairs whose original points coincide
-    carry no information (the band is vacuous there); they are excluded
-    from the quotients and counted in ``zero_pairs``.  The identity case
-    n' == n is allowed as a diagnostic mode.
+    Quotients are adjusted by n/n' and kept in condensed i < j order.  Both
+    spaces are streamed through the same upper-triangle row blocks as
+    ``pairwise_sq_dists``; each block's quotients go straight into the
+    result, so no condensed distance array is built.  Pairs whose original
+    points coincide carry no information (the band is vacuous there); they
+    are excluded from the quotients and counted in ``zero_pairs``.  That
+    includes every pair of bitwise-equal original rows, whatever rounding
+    the Gram expansion would give them.  The identity case n' == n is
+    allowed as a diagnostic mode.
     """
     if original.m != projected.m:
         raise ShapeError(f"point counts differ: {original.m} vs {projected.m}")
@@ -85,21 +163,29 @@ def distortion_report(original: Dataset, projected: Dataset, delta: float) -> Di
     if not 0.0 < delta:
         raise DomainError(f"delta must be positive, got {delta}")
     m = original.m
-    sq_orig = pairwise_sq_dists(original.points)
-    sq_proj = pairwise_sq_dists(projected.points)
-    nonzero = sq_orig > 0.0
-    zero_pairs = int(np.count_nonzero(~nonzero))
-    if zero_pairs == sq_orig.size and sq_orig.size > 0:
-        raise DegenerateDataError("all point pairs coincide in the original data")
+    pair_count = m * (m - 1) // 2
     adjust = original.dim / projected.dim
-    quotients = adjust * sq_proj[nonzero] / sq_orig[nonzero]
     band = (1.0 - delta, 1.0 + delta)
-    violations = int(np.count_nonzero((quotients < band[0]) | (quotients > band[1])))
+    quotients = np.empty(pair_count, dtype=np.float64)
+    pos = violations = 0
+    blocks = zip(_upper_blocks(original.points, _BLOCK), _upper_blocks(projected.points, _BLOCK))
+    for sq_orig, sq_proj in blocks:
+        nonzero = sq_orig > 0.0
+        if not nonzero.all():
+            sq_orig, sq_proj = sq_orig[nonzero], sq_proj[nonzero]
+        q = quotients[pos : pos + sq_orig.size]
+        np.multiply(adjust, sq_proj, out=q)
+        q /= sq_orig
+        violations += int(np.count_nonzero((q < band[0]) | (q > band[1])))
+        pos += q.size
+    zero_pairs = pair_count - pos
+    if zero_pairs == pair_count and pair_count > 0:
+        raise DegenerateDataError("all point pairs coincide in the original data")
     return DistortionReport(
-        quotients=quotients,
+        quotients=quotients[:pos],
         band=band,
         violations=violations,
-        pair_count=m * (m - 1) // 2,
+        pair_count=pair_count,
         zero_pairs=zero_pairs,
         success=violations == 0,
     )
@@ -108,23 +194,31 @@ def distortion_report(original: Dataset, projected: Dataset, delta: float) -> Di
 def estimate_failure_rate(
     data: Dataset, n_prime: int, delta: float, trials: int, base_seed: int
 ) -> FailureRateEstimate:
-    """Fraction of independent projections (seeds base_seed + t) that fail the band."""
+    """Fraction of independent projections (seeds base_seed + t) that fail the band.
+
+    The original pairwise distances are computed once; each trial streams
+    its projected distances block by block against them and stops at the
+    first block with a quotient outside the band.
+    """
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials}")
-    # The original pairwise distances are shared by every trial.
     sq_orig = pairwise_sq_dists(data.points)
-    nonzero = sq_orig > 0.0
-    if not np.any(nonzero) and sq_orig.size > 0:
+    if sq_orig.size > 0 and not np.any(sq_orig > 0.0):
         raise DegenerateDataError("all point pairs coincide in the original data")
     adjust = data.dim / n_prime
     lo, hi = 1.0 - delta, 1.0 + delta
     failures = 0
     for t in range(trials):
         op = build_operator(data.dim, n_prime, base_seed + t)
-        sq_proj = pairwise_sq_dists(project(op, data).points)
-        quotients = adjust * sq_proj[nonzero] / sq_orig[nonzero]
-        if np.any((quotients < lo) | (quotients > hi)):
-            failures += 1
+        pos = 0
+        for sq_proj in _upper_blocks(project(op, data).points, _BLOCK):
+            orig = sq_orig[pos : pos + sq_proj.size]
+            pos += sq_proj.size
+            nonzero = orig > 0.0
+            quotients = adjust * sq_proj[nonzero] / orig[nonzero]
+            if np.any((quotients < lo) | (quotients > hi)):
+                failures += 1
+                break
     rate = failures / trials
     return FailureRateEstimate(
         trials=trials,

@@ -11,6 +11,7 @@ comparison multiplies squared distances by n/n' instead.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -127,7 +128,7 @@ def save_dataset(data: Dataset, path: str, fmt: str = "binary") -> None:
         with open(path, "wb") as fh:
             fh.write(_MAGIC)
             fh.write(struct.pack("<QQ", data.m, data.dim))
-            fh.write(data.points.astype("<f8").tobytes(order="C"))
+            fh.write(memoryview(np.ascontiguousarray(data.points, dtype="<f8")))
     elif fmt == "csv":
         np.savetxt(path, data.points, delimiter=",", fmt="%.17g")
     else:
@@ -135,15 +136,29 @@ def save_dataset(data: Dataset, path: str, fmt: str = "binary") -> None:
 
 
 def load_dataset(path: str) -> Dataset:
-    """Read a dataset file, auto-detecting binary magic vs CSV (header optional)."""
+    """Read a dataset file, auto-detecting binary magic vs CSV (header optional).
+
+    A binary file's size must be exactly what its header's (m, d) implies;
+    that is checked before the m x d array is allocated, so a corrupt
+    header is a ``ShapeError``, not a huge allocation.
+    """
     with open(path, "rb") as fh:
         head = fh.read(len(_MAGIC))
         if head == _MAGIC:
-            m, d = struct.unpack("<QQ", fh.read(16))
-            buf = fh.read(8 * m * d)
-            if len(buf) != 8 * m * d:
+            header = fh.read(16)
+            if len(header) != 16:
+                raise ShapeError("truncated binary dataset header")
+            m, d = struct.unpack("<QQ", header)
+            expected = len(_MAGIC) + 16 + 8 * m * d
+            size = os.fstat(fh.fileno()).st_size
+            if size != expected:
+                raise ShapeError(
+                    f"binary dataset header claims {m}x{d} float64 ({expected} bytes), "
+                    f"but the file has {size} bytes"
+                )
+            points = np.empty((m, d), dtype="<f8")
+            if fh.readinto(points.reshape(-1).view(np.uint8)) != points.nbytes:
                 raise ShapeError(f"truncated binary dataset: expected {m}x{d} float64")
-            points = np.frombuffer(buf, dtype="<f8").reshape(m, d).copy()
             return Dataset(points=points)
     with open(path) as fh:
         first = fh.readline()

@@ -1,4 +1,5 @@
 import csv
+import struct
 
 import numpy as np
 import pytest
@@ -101,6 +102,17 @@ class TestPipeline:
         code, _, err = run(capsys, "verify", "--original", a, "--projected", b, "--delta", "0.1")
         assert code == 2
         assert "error" in err
+
+    def test_verify_oversized_header_exit_2(self, capsys, tmp_path):
+        a, b = str(tmp_path / "a.bin"), str(tmp_path / "b.bin")
+        with open(a, "wb") as fh:
+            fh.write(b"JLKIT-DATASET-01")
+            fh.write(struct.pack("<QQ", 2**20, 2**20))
+            fh.write(b"\0" * 16)
+        save_dataset(Dataset(points=np.zeros((2, 2))), b)
+        code, _, err = run(capsys, "verify", "--original", a, "--projected", b, "--delta", "0.1")
+        assert code == 2
+        assert "error" in err and "Traceback" not in err
 
     def test_missing_file_exit_1(self, capsys, tmp_path):
         code, _, err = run(

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from jlkit import geometry
 from jlkit.errors import DegenerateDataError, ShapeError
 from jlkit.geometry import (
     distortion_report,
@@ -170,3 +171,105 @@ class TestHistogram:
         assert sum(counts) == report.quotients.size
         widths = [float(r[1]) - float(r[0]) for r in rows[1:]]
         assert all(abs(w - 0.01) < 1e-9 for w in widths)  # delta/20 = 0.01
+
+
+def brute_quotients(original, projected):
+    """Per-pair loop in condensed i < j order; equal original rows are zero pairs."""
+    adjust = original.shape[1] / projected.shape[1]
+    quotients, zero_pairs = [], 0
+    m = original.shape[0]
+    for i in range(m):
+        for j in range(i + 1, m):
+            if np.array_equal(original[i], original[j]):
+                zero_pairs += 1
+                continue
+            sq_orig = np.sum((original[i] - original[j]) ** 2)
+            sq_proj = np.sum((projected[i] - projected[j]) ** 2)
+            quotients.append(adjust * sq_proj / sq_orig)
+    return np.array(quotients), zero_pairs
+
+
+def _instance_with_duplicates():
+    rng = np.random.default_rng(21)
+    pts = rng.standard_normal((40, 30))
+    pts[[7, 19, 33]] = pts[3]
+    pts[25] = pts[12]
+    data = Dataset(points=pts)
+    return data, project(build_operator(30, 12, seed=4), data)
+
+
+class TestBlockKernel:
+    def test_quotients_match_brute_force_loop(self):
+        data, proj = _instance_with_duplicates()
+        report = distortion_report(data, proj, 0.5)
+        expected, zero_pairs = brute_quotients(data.points, proj.points)
+        assert report.zero_pairs == zero_pairs == 7
+        assert report.quotients.shape == expected.shape
+        assert np.allclose(report.quotients, expected, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("block", [1, 7, 39, 40, 41, 1000])
+    def test_block_size_independent(self, monkeypatch, block):
+        data, proj = _instance_with_duplicates()
+        ref = distortion_report(data, proj, 0.5)
+        ref_sq = pairwise_sq_dists(data.points)
+        monkeypatch.setattr(geometry, "_BLOCK", block)
+        report = distortion_report(data, proj, 0.5)
+        assert (report.violations, report.zero_pairs) == (ref.violations, ref.zero_pairs)
+        assert np.allclose(report.quotients, ref.quotients, rtol=1e-12, atol=0)
+        sq = pairwise_sq_dists(data.points, block=block)
+        assert np.count_nonzero(sq == 0.0) == 7
+        assert np.allclose(sq, ref_sq, rtol=1e-12, atol=0)
+
+    def test_repeat_call_bitwise_identical(self):
+        data, proj = _instance_with_duplicates()
+        a = distortion_report(data, proj, 0.5)
+        b = distortion_report(data, proj, 0.5)
+        assert np.array_equal(a.quotients, b.quotients)
+        assert (a.violations, a.zero_pairs) == (b.violations, b.zero_pairs)
+
+    def test_exact_duplicates_are_zero_pairs(self):
+        # 200 points plus exact copies of 50 of them.  The Gram expansion
+        # leaves a copy's squared distance to its original as rounding
+        # noise, which must not become a quotient.
+        rng = np.random.default_rng(0)
+        base = rng.standard_normal((200, 300))
+        copied = rng.choice(200, 50, replace=False)
+        data = Dataset(points=np.vstack([base, base[copied]]))
+        op = build_operator(300, 150, seed=1)
+        report = distortion_report(data, project(op, data), 0.45)
+        assert report.zero_pairs == 50
+        assert report.quotients.size == report.pair_count - 50
+        sq = pairwise_sq_dists(data.points)
+        copy_pairs = [i * 250 - i * (i + 1) // 2 + (200 + k - i - 1) for k, i in enumerate(copied)]
+        assert np.all(sq[copy_pairs] == 0.0)
+        # Violations match the de-duplicated data, where a violating pair
+        # counts once per copy of each of its points.
+        dedup = distortion_report(Dataset(points=base), project(op, Dataset(points=base)), 0.45)
+        copies = np.ones(200, dtype=int)
+        copies[copied] += 1
+        i, j = np.triu_indices(200, 1)
+        outside = (dedup.quotients < 0.55) | (dedup.quotients > 1.45)
+        assert dedup.violations == 4
+        assert report.violations == int(np.sum(copies[i] * copies[j] * outside)) == 8
+
+
+class TestFailureRateStreaming:
+    # Failure counts recorded with the previous full-Gram implementation.
+    @pytest.mark.parametrize(
+        "seed, shape, n_prime, delta, trials, base_seed, failures",
+        [
+            (7, (12, 60), 20, 0.3, 10, 11, 10),
+            (8, (10, 50), 45, 3.0, 15, 0, 0),
+            (9, (30, 100), 1, 0.05, 20, 3, 20),
+            (12, (300, 80), 60, 0.9, 12, 21, 5),
+        ],
+    )
+    def test_same_failures_as_before(self, seed, shape, n_prime, delta, trials, base_seed, failures):
+        data = Dataset(points=np.random.default_rng(seed).standard_normal(shape))
+        assert estimate_failure_rate(data, n_prime, delta, trials, base_seed).failures == failures
+
+    @pytest.mark.parametrize("block", [1, 7, 299, 300, 301])
+    def test_block_size_independent(self, monkeypatch, block):
+        monkeypatch.setattr(geometry, "_BLOCK", block)
+        data = Dataset(points=np.random.default_rng(12).standard_normal((300, 80)))
+        assert estimate_failure_rate(data, 60, 0.9, 12, 21).failures == 5

@@ -192,6 +192,23 @@ class TestFileFormats:
         with pytest.raises(ShapeError):
             load_dataset(path)
 
+    def test_binary_bytes_match_previous_writer(self, tmp_path):
+        points = np.random.default_rng(5).standard_normal((9, 4))
+        path = str(tmp_path / "d.bin")
+        save_dataset(Dataset(points=points), path)
+        previous = b"JLKIT-DATASET-01" + struct.pack("<QQ", 9, 4) + points.astype("<f8").tobytes(order="C")
+        assert open(path, "rb").read() == previous
+
+    def test_oversized_header_rejected_before_allocation(self, tmp_path):
+        # 2^20 x 2^20 float64 would be 8 TiB; the file holds 16 bytes of data.
+        path = str(tmp_path / "huge.bin")
+        with open(path, "wb") as fh:
+            fh.write(b"JLKIT-DATASET-01")
+            fh.write(struct.pack("<QQ", 2**20, 2**20))
+            fh.write(b"\0" * 16)
+        with pytest.raises(ShapeError, match="1048576x1048576"):
+            load_dataset(path)
+
     def test_operator_round_trip(self, tmp_path):
         op = build_operator(25, 8, seed=99, orthonormalize=True)
         path = str(tmp_path / "op.json")
