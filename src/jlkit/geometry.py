@@ -94,29 +94,25 @@ def _upper_blocks(points: np.ndarray, block: int) -> Iterator[np.ndarray]:
     """
     m, d = points.shape
     norms = np.einsum("ij,ij->i", points, points)
-    col_max = np.maximum.accumulate(norms[::-1])[::-1]  # max of norms[s:]
     upper = np.arange(min(block, m))[:, None] < np.arange(m)
     labels = _RowLabels(points)
     for s in range(0, m, block):
         e = min(s + block, m)
+        upper_blk = upper[: e - s, : m - s]
+        nsum = norms[s:e, None] + norms[s:]
         sq = points[s:e] @ points[s:].T
         sq *= -2.0
-        sq += norms[s:e, None] + norms[s:]
+        sq += nsum
         np.maximum(sq, 0.0, out=sq)
-        seg = sq[upper[: e - s, : m - s]]
-        del sq  # only the upper triangle stays alive while the caller works
-        near = np.flatnonzero(seg <= _DUP_TOL * d * (norms[s:e].max() + col_max[s]))
-        if near.size:
-            # Row r of the block starts its run at starts[r] and covers
-            # columns s + r + 1 .. m - 1.
-            counts = m - s - 1 - np.arange(e - s)
-            starts = np.cumsum(counts) - counts
-            r = np.searchsorted(starts, near, side="right") - 1
-            i = s + r
-            j = i + 1 + near - starts[r]
-            close = seg[near] <= _DUP_TOL * d * (norms[i] + norms[j])
-            near, i, j = near[close], i[close], j[close]
-            seg[near[labels(i) == labels(j)]] = 0.0
+        nsum *= _DUP_TOL * d
+        near = sq <= nsum
+        near &= upper_blk
+        r, c = np.nonzero(near)
+        if r.size:
+            dup = labels(s + r) == labels(s + c)
+            sq[r[dup], c[dup]] = 0.0
+        seg = sq[upper_blk]
+        del sq, nsum, near  # only the upper triangle stays alive while the caller works
         yield seg
 
 
@@ -144,10 +140,11 @@ def pairwise_sq_dists(points: np.ndarray, block: int = _BLOCK) -> np.ndarray:
 def distortion_report(original: Dataset, projected: Dataset, delta: float) -> DistortionReport:
     """Check every pair against the distortion band [1-delta, 1+delta].
 
-    Quotients are adjusted by n/n' and kept in condensed i < j order.  Both
-    spaces are streamed through the same upper-triangle row blocks as
-    ``pairwise_sq_dists``; each block's quotients go straight into the
-    result, so no condensed distance array is built.  Pairs whose original
+    Quotients are adjusted by n/n' and kept in condensed i < j order.  The
+    original distances come from ``pairwise_sq_dists`` and the projected
+    ones are streamed through the same upper-triangle row blocks, each
+    block dividing its slice of the original distances in place, so the
+    one condensed array is the returned quotients.  Pairs whose original
     points coincide carry no information (the band is vacuous there); they
     are excluded from the quotients and counted in ``zero_pairs``.  That
     includes every pair of bitwise-equal original rows, whatever rounding
@@ -166,17 +163,22 @@ def distortion_report(original: Dataset, projected: Dataset, delta: float) -> Di
     pair_count = m * (m - 1) // 2
     adjust = original.dim / projected.dim
     band = (1.0 - delta, 1.0 + delta)
-    quotients = np.empty(pair_count, dtype=np.float64)
-    pos = violations = 0
-    blocks = zip(_upper_blocks(original.points, _BLOCK), _upper_blocks(projected.points, _BLOCK))
-    for sq_orig, sq_proj in blocks:
+    # The original distances fill the buffer that becomes the quotients:
+    # each projected block divides its slice, and pairs with a nonzero
+    # original distance are compacted towards the front, never ahead of
+    # the slice still to be read.
+    quotients = pairwise_sq_dists(original.points, _BLOCK)
+    read = pos = violations = 0
+    for sq_proj in _upper_blocks(projected.points, _BLOCK):
+        sq_orig = quotients[read : read + sq_proj.size]
+        read += sq_proj.size
         nonzero = sq_orig > 0.0
         if not nonzero.all():
             sq_orig, sq_proj = sq_orig[nonzero], sq_proj[nonzero]
-        q = quotients[pos : pos + sq_orig.size]
-        np.multiply(adjust, sq_proj, out=q)
+        q = np.multiply(adjust, sq_proj)
         q /= sq_orig
         violations += int(np.count_nonzero((q < band[0]) | (q > band[1])))
+        quotients[pos : pos + q.size] = q
         pos += q.size
     zero_pairs = pair_count - pos
     if zero_pairs == pair_count and pair_count > 0:

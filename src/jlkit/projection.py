@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import os
+import stat
 import struct
 from dataclasses import dataclass, field
 
@@ -138,9 +139,11 @@ def save_dataset(data: Dataset, path: str, fmt: str = "binary") -> None:
 def load_dataset(path: str) -> Dataset:
     """Read a dataset file, auto-detecting binary magic vs CSV (header optional).
 
-    A binary file's size must be exactly what its header's (m, d) implies;
-    that is checked before the m x d array is allocated, so a corrupt
-    header is a ``ShapeError``, not a huge allocation.
+    A regular binary file must hold at least the 8*m*d data bytes its
+    header's (m, d) implies (later bytes are ignored); that is checked
+    before the m x d array is allocated, so a corrupt header is a
+    ``ShapeError``, not a huge allocation.  A pipe has no size to check and
+    is read up to the data's end, a short read being a ``ShapeError``.
     """
     with open(path, "rb") as fh:
         head = fh.read(len(_MAGIC))
@@ -150,11 +153,11 @@ def load_dataset(path: str) -> Dataset:
                 raise ShapeError("truncated binary dataset header")
             m, d = struct.unpack("<QQ", header)
             expected = len(_MAGIC) + 16 + 8 * m * d
-            size = os.fstat(fh.fileno()).st_size
-            if size != expected:
+            st = os.fstat(fh.fileno())
+            if stat.S_ISREG(st.st_mode) and st.st_size < expected:
                 raise ShapeError(
                     f"binary dataset header claims {m}x{d} float64 ({expected} bytes), "
-                    f"but the file has {size} bytes"
+                    f"but the file has {st.st_size} bytes"
                 )
             points = np.empty((m, d), dtype="<f8")
             if fh.readinto(points.reshape(-1).view(np.uint8)) != points.nbytes:

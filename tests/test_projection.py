@@ -1,4 +1,6 @@
+import os
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -13,6 +15,11 @@ from jlkit.projection import (
     save_dataset,
     save_operator,
 )
+
+
+def _write_bytes(path, payload):
+    with open(path, "wb") as fh:
+        fh.write(payload)
 
 
 class TestBuildOperator:
@@ -208,6 +215,32 @@ class TestFileFormats:
             fh.write(b"\0" * 16)
         with pytest.raises(ShapeError, match="1048576x1048576"):
             load_dataset(path)
+
+    def test_trailing_bytes_ignored(self, tmp_path):
+        points = np.random.default_rng(6).standard_normal((3, 2))
+        path = str(tmp_path / "d.bin")
+        save_dataset(Dataset(points=points), path)
+        with open(path, "ab") as fh:
+            fh.write(b"\0" * 5)
+        assert np.array_equal(load_dataset(path).points, points)
+
+    def test_binary_read_from_pipe(self, tmp_path):
+        points = np.random.default_rng(7).standard_normal((5, 3))
+        src = str(tmp_path / "d.bin")
+        save_dataset(Dataset(points=points), src)
+        raw = open(src, "rb").read()
+        fifo = str(tmp_path / "fifo")
+        os.mkfifo(fifo)
+        for payload, ok in ((raw, True), (raw[:-8], False)):
+            writer = threading.Thread(target=_write_bytes, args=(fifo, payload), daemon=True)
+            writer.start()
+            if ok:
+                assert np.array_equal(load_dataset(fifo).points, points)
+            else:
+                with pytest.raises(ShapeError, match="truncated"):
+                    load_dataset(fifo)
+            writer.join(timeout=10)
+            assert not writer.is_alive()
 
     def test_operator_round_trip(self, tmp_path):
         op = build_operator(25, 8, seed=99, orthonormalize=True)
