@@ -57,11 +57,11 @@ def _resolve_n_prime(args, m: int, n: int) -> int:
 
 def _cmd_dim(args) -> int:
     _print_config("dim", args)
-    req = dimension.DimensionRequest(m=args.m, epsilon=args.epsilon, delta=args.delta, n=args.n)
-    explicit = dimension.n_prime_explicit(req)
+    dimension.DimensionRequest(m=args.m, epsilon=args.epsilon, delta=args.delta, n=args.n)
+    explicit = dimension.explicit_dimension(args.m, args.epsilon, args.delta)
     print(f"n' explicit: {explicit}")
     if args.n is not None:
-        implicit = dimension.n_prime_implicit(req)
+        implicit = dimension.implicit_dimension(args.m, args.epsilon, args.delta, args.n)
         print(f"n' implicit: {implicit}")
         print(f"ratio explicit/implicit: {round(explicit / implicit, 2):g}")
     if args.dg:
@@ -200,7 +200,6 @@ def _cmd_clusterability(args) -> int:
     predicted = clus.transport(before, args.delta)
     shrink = (1.0 - args.delta) / (1.0 + args.delta)
     ok = {"sigma": 0, "beta": 0, "deletion": 0}
-    measured_first = None
     for t in range(args.trials):
         op = build_operator(data.dim, n_prime, args.seed + t)
         projected = project(op, data)
@@ -208,8 +207,6 @@ def _cmd_clusterability(args) -> int:
         part_p, _ = kmeans.brute_force_optimum(projected, args.k)
         beta_p = clus.measure_centre_stability(projected, part_p)
         deletion_p = clus.measure_weak_deletion_stability(projected, args.k)
-        if measured_first is None:
-            measured_first = (sigma_p, beta_p, deletion_p)
         ok["sigma"] += sigma_p <= sigma / np.sqrt(shrink)
         ok["beta"] += beta_p >= beta * np.sqrt(shrink)
         ok["deletion"] += deletion_p >= deletion * shrink
@@ -262,11 +259,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--nprime", type=int, default=None)
-    p.add_argument("--auto-dim", action="store_true", help="derive n' from --epsilon/--delta")
+    p.add_argument("--nprime", type=int, default=None, help="default: from --epsilon/--delta")
     p.add_argument("--epsilon", type=float, default=None)
     p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--implicit", action="store_true", help="use the n-dependent bound for --auto-dim")
+    p.add_argument("--implicit", action="store_true", help="derive n' by the n-dependent bound")
     p.add_argument("--orthonormal", action="store_true", help="orthonormalize operator rows")
     p.add_argument("--save-operator", default=None)
     p.add_argument("--format", choices=["binary", "csv"], default="binary")

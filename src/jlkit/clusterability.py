@@ -27,13 +27,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateDataError, DomainError
+from .geometry import sq_dist_matrix, sq_dists_to
 from .kmeans import (
     Partition,
     brute_force_optimum,
     brute_force_optimum_sq_dists,
     cluster_stats,
     same_partition,
-    _square_sq_dists,
 )
 from .projection import Dataset
 
@@ -167,14 +167,11 @@ def measure_centre_stability(data: Dataset, partition: Partition) -> float:
     stats = cluster_stats(data, partition)
     if partition.k < 2:
         raise DomainError("centre stability needs at least two clusters")
-    diff = data.points[:, None, :] - stats.centroids[None, :, :]
-    dist = np.sqrt(np.sum(diff * diff, axis=2))
+    dist = np.sqrt(sq_dists_to(data.points, stats.centroids))
     own = dist[np.arange(data.m), partition.assignments]
-    foreign = dist.copy()
-    foreign[np.arange(data.m), partition.assignments] = np.inf
-    nearest_foreign = foreign.min(axis=1)
+    dist[np.arange(data.m), partition.assignments] = np.inf  # only foreign centroids remain
     with np.errstate(divide="ignore"):
-        ratios = np.where(own > 0.0, nearest_foreign / own, np.inf)
+        ratios = np.where(own > 0.0, dist.min(axis=1) / own, np.inf)
     return float(ratios.min())
 
 
@@ -223,7 +220,7 @@ def check_perturbation_robustness(
         raise DomainError("trials must be >= 1")
     if data.m > 12:
         raise DomainError("perturbation check limited to m <= 12")
-    sq = _square_sq_dists(data.points)
+    sq = sq_dist_matrix(data.points)
     reference, _ = brute_force_optimum_sq_dists(sq, k)
     rng = np.random.default_rng(seed)
     m = data.m

@@ -3,12 +3,12 @@
 Two routes to the reduced dimension n' are provided for a point count m,
 failure probability epsilon and relative squared-distance error delta:
 
-* ``n_prime_explicit`` -- closed form, independent of the original
+* ``explicit_dimension`` -- closed form, independent of the original
   dimension n.  Sufficient: one projection preserves every pairwise
   squared distance within a factor 1 +/- delta with probability >= 1-eps.
-* ``n_prime_implicit`` -- the n-dependent refinement obtained by solving
-  the per-pair tail bound ``pair_failure_bound`` times the number of
-  pairs against epsilon.
+* ``implicit_dimension`` -- the n-dependent refinement obtained by
+  solving the per-pair tail bound ``pair_failure_bound`` times the number
+  of pairs against epsilon.
 
 For comparison, the classical repeat-until-success recipe is costed by
 ``dg_n_prime`` (per-trial dimension) and ``dg_repetitions`` (number of
@@ -31,17 +31,13 @@ from .errors import DomainError, InfeasibleError
 
 __all__ = [
     "DimensionRequest",
-    "DimensionResult",
     "denominator",
-    "n_prime_explicit",
     "explicit_dimension",
     "pair_failure_bound",
-    "n_prime_implicit",
     "implicit_dimension",
     "dg_n_prime",
     "dg_repetitions",
     "gap_delta_bound",
-    "solve",
 ]
 
 
@@ -71,14 +67,6 @@ class DimensionRequest:
             raise DomainError(f"n must be >= 2 when given, got {self.n}")
 
 
-@dataclass(frozen=True)
-class DimensionResult:
-    n_prime_explicit: int
-    n_prime_implicit: int | None
-    dg_n_prime: int
-    dg_repetitions: int
-
-
 def denominator(delta: float) -> float:
     """The denominator D(delta) = delta - ln(1 + delta) of the explicit bound.
 
@@ -92,26 +80,17 @@ def denominator(delta: float) -> float:
 
 
 def explicit_dimension(m: int, epsilon: float, delta: float) -> int:
-    """Closed form ceil(2 (-ln eps + 2 ln m) / D(delta)); valid for delta in (0, 1).
+    """Sufficient n' = ceil(2 (-ln eps + 2 ln m) / D(delta)), independent of n.
 
-    The guarantee is stated for delta < 1/2 (enforced by DimensionRequest);
-    this relaxed-domain entry point exists so the published sweeps, which
-    touch delta = 0.5, can be regenerated.
+    The guarantee is stated for delta < 1/2 (what DimensionRequest checks);
+    delta in (0, 1) is accepted so the published sweeps, which touch
+    delta = 0.5, can be regenerated.
     """
     if m < 2:
         raise DomainError(f"m must be >= 2, got {m}")
     if not 0.0 < epsilon < 1.0:
         raise DomainError(f"epsilon must lie in (0, 1), got {epsilon}")
     return math.ceil(2.0 * (-math.log(epsilon) + 2.0 * math.log(m)) / denominator(delta))
-
-
-def n_prime_explicit(req: DimensionRequest) -> int:
-    """Closed-form sufficient target dimension; does not depend on n.
-
-    Returns ceil(2 (-ln eps + 2 ln m) / D(delta)).  The ceiling keeps the
-    result sufficient: any integer at or above the real-valued bound is.
-    """
-    return explicit_dimension(req.m, req.epsilon, req.delta)
 
 
 def _log_pair_failure_bound(n_prime: float, n: float, delta: float) -> float:
@@ -162,6 +141,11 @@ def implicit_dimension(m: int, epsilon: float, delta: float, n: int, strict: boo
     explicit bound is provably sufficient, so it caps the search; the
     refinement is therefore never worse than the closed form.
 
+    Bisection is sound: the left side falls strictly in n' over the whole
+    domain.  With y = 1 -/+ n' delta / (n - n'), each tail's log has slope
+    (ln(1 +/- delta) + 1 - (1 +/- delta) / y - ln y) / 2 in n', which is at
+    most (ln(1 +/- delta) -/+ delta) / 2 < 0, its value at n' = 0.
+
     When the cap itself lies beyond the domain of the tail bound
     (n' * (1+delta) >= n), the refinement step is skipped and the cap is
     returned as-is, matching the published reference tables.  Pass
@@ -189,8 +173,6 @@ def implicit_dimension(m: int, epsilon: float, delta: float, n: int, strict: boo
             f"no n' <= {hi} satisfies the pair bound at n={n}, delta={delta}; "
             f"left side at the bracket end is {boundary:.3e} > epsilon={epsilon}"
         )
-    if not _non_increasing_on(2, hi, n, delta):
-        return _linear_scan(satisfied, start=max(2, cap // 2), hi=hi)
     lo = 2
     if satisfied(lo):
         return lo
@@ -201,30 +183,6 @@ def implicit_dimension(m: int, epsilon: float, delta: float, n: int, strict: boo
         else:
             lo = mid
     return hi
-
-
-def n_prime_implicit(req: DimensionRequest, strict: bool = False) -> int:
-    """n-dependent refinement of the explicit bound; see ``implicit_dimension``."""
-    if req.n is None:
-        raise DomainError("the implicit bound needs the original dimension n")
-    return implicit_dimension(req.m, req.epsilon, req.delta, req.n, strict=strict)
-
-
-def _non_increasing_on(lo: int, hi: int, n: int, delta: float) -> bool:
-    # Bisection is only sound if the bound decreases over the bracket;
-    # sample 8 geometrically spaced points to confirm.
-    pts = sorted({max(lo, min(hi, round(lo * (hi / lo) ** (i / 7.0)))) for i in range(8)})
-    vals = [_log_pair_failure_bound(float(p), float(n), delta) for p in pts]
-    return all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
-
-
-def _linear_scan(satisfied, start: int, hi: int) -> int:
-    n_prime = start
-    while n_prime <= hi:
-        if satisfied(n_prime):
-            return n_prime
-        n_prime += 1
-    raise InfeasibleError("linear scan exhausted the bracket without a solution")
 
 
 def dg_n_prime(m: int, delta: float, original_denominator: bool = False) -> int:
@@ -273,14 +231,3 @@ def gap_delta_bound(g: float, p: float) -> float:
         raise DomainError(f"balance quotient p must be >= 0, got {p}")
     alpha = 1.0 - g / 2.0
     return (1.0 - alpha * alpha) / ((1.0 + 2.0 * p) + alpha * alpha)
-
-
-def solve(req: DimensionRequest) -> DimensionResult:
-    """Evaluate all dimension formulas for one request."""
-    implicit = n_prime_implicit(req) if req.n is not None else None
-    return DimensionResult(
-        n_prime_explicit=n_prime_explicit(req),
-        n_prime_implicit=implicit,
-        dg_n_prime=dg_n_prime(req.m, req.delta),
-        dg_repetitions=dg_repetitions(req.m, req.epsilon),
-    )

@@ -1,4 +1,8 @@
-"""Pairwise distortion verification and Monte-Carlo failure-rate estimation.
+"""Distance kernels, pairwise distortion verification and failure-rate estimation.
+
+Both distance kernels of the package live here: pairwise squared distances
+(``pairwise_sq_dists``, square form ``sq_dist_matrix``) and point-to-centre
+squared distances (``sq_dists_to``).
 
 A projection "succeeds" when every adjusted squared-distance quotient
 (n/n') ||u'-v'||^2 / ||u-v||^2 stays inside the band [1-delta, 1+delta];
@@ -21,6 +25,8 @@ __all__ = [
     "DistortionReport",
     "FailureRateEstimate",
     "pairwise_sq_dists",
+    "sq_dist_matrix",
+    "sq_dists_to",
     "distortion_report",
     "estimate_failure_rate",
     "wilson_interval",
@@ -134,6 +140,28 @@ def pairwise_sq_dists(points: np.ndarray, block: int = _BLOCK) -> np.ndarray:
     for seg in _upper_blocks(points, block):
         out[pos : pos + seg.size] = seg
         pos += seg.size
+    return out
+
+
+def sq_dist_matrix(points: np.ndarray) -> np.ndarray:
+    """Symmetric m x m form of ``pairwise_sq_dists`` for small m; equal rows are exactly 0."""
+    m = len(points)
+    out = np.zeros((m, m))
+    upper = np.triu_indices(m, 1)
+    out[upper] = out.T[upper] = pairwise_sq_dists(points)
+    return out
+
+
+def sq_dists_to(points: np.ndarray, centres: np.ndarray) -> np.ndarray:
+    """m x k squared distances from every point to every centre, by direct difference.
+
+    Not by the |x|^2 + |c|^2 - 2 x.c expansion: a point on a centre is at
+    exactly 0, and a common translation moves nothing but its own rounding.
+    """
+    out = np.empty((len(points), len(centres)))
+    for j, centre in enumerate(centres):
+        diff = points - centre
+        out[:, j] = np.einsum("ij,ij->i", diff, diff)
     return out
 
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDataError, DomainError, ShapeError
+from .geometry import sq_dist_matrix, sq_dists_to
 from .projection import Dataset
 
 __all__ = [
@@ -130,29 +131,13 @@ def cluster_stats(data: Dataset, partition: Partition) -> ClusterStats:
     return ClusterStats(centroids=centroids, sizes=sizes, variances=variances, cost=cost)
 
 
-def _assign(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    # Squared distances to each centroid; argmin breaks ties toward the
-    # lowest cluster index.
-    sq = (
-        np.einsum("ij,ij->i", points, points)[:, None]
-        - 2.0 * points @ centroids.T
-        + np.einsum("ij,ij->i", centroids, centroids)[None, :]
-    )
-    return np.argmin(sq, axis=1)
-
-
-def _repair_empty(points, assignments, centroids, k):
-    # Reseed each empty cluster with the point currently farthest from its
-    # own centroid; distinct points for distinct empty clusters.
-    sq_own = np.sum((points - centroids[assignments]) ** 2, axis=1)
+def _repair_empty(sq: np.ndarray, assignments: np.ndarray, k: int) -> np.ndarray:
+    # Reseed each empty cluster with the point farthest from its own centroid
+    # by the m x k squared distances sq; distinct points for distinct clusters.
     empties = [j for j in range(k) if not np.any(assignments == j)]
-    if not empties:
-        return assignments
-    order = np.argsort(-sq_own)
-    taken = 0
-    for j in empties:
-        assignments[order[taken]] = j
-        taken += 1
+    if empties:
+        own = sq[np.arange(len(sq)), assignments]
+        assignments[np.argsort(-own)[: len(empties)]] = empties
     return assignments
 
 
@@ -181,8 +166,8 @@ def lloyd(
     else:
         rng = np.random.default_rng(0 if init is None else init)
         centroids = points[rng.choice(data.m, size=k, replace=False)].copy()
-        assignments = _assign(points, centroids)
-        assignments = _repair_empty(points, assignments, centroids, k)
+        sq = sq_dists_to(points, centroids)
+        assignments = _repair_empty(sq, np.argmin(sq, axis=1), k)
 
     prev_cost = math.inf
     for _ in range(max_iters):
@@ -190,11 +175,12 @@ def lloyd(
             members = points[assignments == j]
             if members.size:
                 centroids[j] = members.mean(axis=0)
-        cost = float(np.sum((points - centroids[assignments]) ** 2))
+        sq = sq_dists_to(points, centroids)
+        cost = float(sq[np.arange(data.m), assignments].sum())
         assert cost <= prev_cost * (1 + 1e-12) + 1e-12, "Lloyd cost increased"
         prev_cost = cost
-        new_assignments = _assign(points, centroids)
-        new_assignments = _repair_empty(points, new_assignments, centroids, k)
+        # argmin breaks ties toward the lowest cluster index.
+        new_assignments = _repair_empty(sq, np.argmin(sq, axis=1), k)
         if np.array_equal(new_assignments, assignments):
             break
         assignments = new_assignments
@@ -305,17 +291,8 @@ def brute_force_optimum_sq_dists(sq: np.ndarray, k: int) -> tuple[Partition, flo
 
 def brute_force_optimum(data: Dataset, k: int) -> tuple[Partition, ClusterStats]:
     """Global optimum over all partitions of the dataset into k clusters."""
-    sq = _square_sq_dists(data.points)
-    partition, _ = brute_force_optimum_sq_dists(sq, k)
+    partition, _ = brute_force_optimum_sq_dists(sq_dist_matrix(data.points), k)
     return partition, cluster_stats(data, partition)
-
-
-def _square_sq_dists(points: np.ndarray) -> np.ndarray:
-    g = points @ points.T
-    d = np.diag(g)
-    sq = d[:, None] + d[None, :] - 2.0 * g
-    np.fill_diagonal(sq, 0.0)
-    return np.maximum(sq, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -398,12 +375,7 @@ def is_lloyd_fixed_point(data: Dataset, partition: Partition) -> bool:
     Ties count as fixed; this is the operational meaning of a k-means
     local minimum everywhere in this package.
     """
-    stats = cluster_stats(data, partition)
-    sq = (
-        np.einsum("ij,ij->i", data.points, data.points)[:, None]
-        - 2.0 * data.points @ stats.centroids.T
-        + np.einsum("ij,ij->i", stats.centroids, stats.centroids)[None, :]
-    )
+    sq = sq_dists_to(data.points, cluster_stats(data, partition).centroids)
     own = sq[np.arange(data.m), partition.assignments]
     return bool(np.all(own <= sq.min(axis=1)))
 

@@ -13,12 +13,7 @@ import pytest
 
 from jlkit import clusterability as clus
 from jlkit.datagen import MixtureSpec, generate
-from jlkit.dimension import (
-    DimensionRequest,
-    explicit_dimension,
-    gap_delta_bound,
-    n_prime_explicit,
-)
+from jlkit.dimension import explicit_dimension, gap_delta_bound
 from jlkit.geometry import pairwise_sq_dists
 from jlkit.kmeans import (
     Partition,
@@ -202,7 +197,7 @@ def test_criterion_2_dg_comparison():
 def test_criterion_3_distortion_figure():
     """5000 standard-normal points at the published figure parameters."""
     t0 = time.time()
-    n_prime = n_prime_explicit(DimensionRequest(m=5000, epsilon=0.1, delta=0.2))
+    n_prime = explicit_dimension(5000, 0.1, 0.2)
     assert n_prime == 2188
     rng = np.random.default_rng(2024)
     points = rng.standard_normal((5000, 5000))
@@ -231,14 +226,6 @@ def test_criterion_3_distortion_figure():
     assert ok
 
 
-def _partition_cost(points, labels, k):
-    sums = np.zeros((k, points.shape[1]))
-    np.add.at(sums, labels, points)
-    counts = np.bincount(labels, minlength=k).astype(float)
-    total = float(np.einsum("ij,ij->", points, points))
-    return total - float(np.sum(np.einsum("ij,ij->i", sums, sums) / counts))
-
-
 @pytest.mark.slow
 def test_criterion_4_cost_sandwich():
     """Theorem-sized n' keeps every partition's cost in the (1 +- delta) band."""
@@ -253,22 +240,21 @@ def test_criterion_4_cost_sandwich():
     assert n_prime < n
     lloyd_part, _ = lloyd(data, 3, init=0)
     rng = np.random.default_rng(4242)
-    partitions = [(lloyd_part.assignments, 3)]
+    partitions = [lloyd_part]
     for _ in range(100):
         k = int(rng.integers(2, 6))
         while True:
             labels = rng.integers(0, k, size=m)
             if np.unique(labels).size == k:
                 break
-        partitions.append((labels, k))
-    orig_costs = [_partition_cost(data.points, labels, k) for labels, k in partitions]
+        partitions.append(Partition(assignments=labels, k=k))
+    orig_costs = [cluster_stats(data, p).cost for p in partitions]
     passes = 0
     for t in range(trials):
-        op = build_operator(n, n_prime, seed=5000 + t)
-        proj = data.points @ op.rows.T
+        proj = project(build_operator(n, n_prime, seed=5000 + t), data)
         trial_ok = True
-        for (labels, k), j in zip(partitions, orig_costs):
-            adjusted = (n / n_prime) * _partition_cost(proj, labels, k)
+        for p, j in zip(partitions, orig_costs):
+            adjusted = (n / n_prime) * cluster_stats(proj, p).cost
             if not ((1 - delta) * j <= adjusted <= (1 + delta) * j):
                 trial_ok = False
                 break

@@ -6,6 +6,7 @@ import pytest
 
 from jlkit.cli import main
 from jlkit.projection import Dataset, load_dataset, save_dataset
+from tests.test_kmeans import shifted_mixture
 
 
 def run(capsys, *argv):
@@ -78,7 +79,7 @@ class TestPipeline:
         # miss it, so the orthonormal variant is the right tool here.
         code, out, _ = run(
             capsys, "project", "--input", data_path, "--out", proj_path,
-            "--auto-dim", "--epsilon", "0.1", "--delta", "0.2", "--seed", "3",
+            "--epsilon", "0.1", "--delta", "0.2", "--seed", "3",
             "--orthonormal",
         )
         assert code == 0
@@ -157,6 +158,16 @@ class TestKmeansCompare:
         assert rows[0] == ["seed", "cost_original", "cost_projected_adjusted",
                            "lower_bound", "upper_bound", "pass"]
         assert len(rows) == 6
+
+    def test_translated_data_exit_0(self, capsys, tmp_path):
+        data_path = str(tmp_path / "shifted.bin")
+        save_dataset(shifted_mixture()[0], data_path)
+        code, out, _ = run(
+            capsys, "kmeans-compare", "--input", data_path, "--k", "2",
+            "--delta", "0.3", "--nprime", "40", "--trials", "3", "--partitions", "2",
+        )
+        assert code == 0
+        assert "fixed-point transfer rate:" in out
 
 
 class TestClusterability:

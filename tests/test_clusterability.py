@@ -188,7 +188,7 @@ class TestPerturbationRobustness:
         # budget stays robust at s_p after any nu-bounded squared-distance
         # perturbation (here: an additive jitter small against the
         # closest pair, so every distance ratio stays inside the nu band).
-        from jlkit.kmeans import _square_sq_dists
+        from jlkit.geometry import sq_dist_matrix
 
         nu_sq, s_p_sq = 0.9, 0.8
         s_sq = nu_sq * s_p_sq
@@ -198,11 +198,11 @@ class TestPerturbationRobustness:
         data = Dataset(points=pts)
         assert check_perturbation_robustness(data, 2, s=math.sqrt(s_sq), trials=100, seed=5)
         iu = np.triu_indices(10, 1)
-        d_min = math.sqrt(_square_sq_dists(pts)[iu].min())
+        d_min = math.sqrt(sq_dist_matrix(pts)[iu].min())
         noise = rng.standard_normal(pts.shape)
         noise /= np.linalg.norm(noise, axis=1, keepdims=True)
         jitter = Dataset(points=pts + 0.02 * d_min * noise)
-        ratio = _square_sq_dists(jitter.points)[iu] / _square_sq_dists(pts)[iu]
+        ratio = sq_dist_matrix(jitter.points)[iu] / sq_dist_matrix(pts)[iu]
         assert ratio.min() > nu_sq and ratio.max() < 1.0 / nu_sq
         assert check_perturbation_robustness(jitter, 2, s=math.sqrt(s_p_sq), trials=100, seed=6)
 

@@ -5,16 +5,14 @@ from hypothesis import given, settings, strategies as st
 
 from jlkit.dimension import (
     DimensionRequest,
+    _log_pair_failure_bound,
     denominator,
     dg_n_prime,
     dg_repetitions,
     explicit_dimension,
     gap_delta_bound,
     implicit_dimension,
-    n_prime_explicit,
-    n_prime_implicit,
     pair_failure_bound,
-    solve,
 )
 from jlkit.errors import DomainError
 
@@ -61,12 +59,7 @@ class TestExplicit:
         ],
     )
     def test_published_anchors(self, m, eps, delta, expected):
-        assert n_prime_explicit(DimensionRequest(m=m, epsilon=eps, delta=delta)) == expected
-
-    def test_independent_of_n(self):
-        with_n = DimensionRequest(m=1000, epsilon=0.05, delta=0.1, n=10**6)
-        without = DimensionRequest(m=1000, epsilon=0.05, delta=0.1)
-        assert n_prime_explicit(with_n) == n_prime_explicit(without)
+        assert explicit_dimension(m, eps, delta) == expected
 
     @given(
         m=st.integers(min_value=2, max_value=10**8),
@@ -140,7 +133,7 @@ class TestImplicit:
         ],
     )
     def test_exact_boundaries(self, m, eps, delta, n, exact):
-        got = n_prime_implicit(DimensionRequest(m=m, epsilon=eps, delta=delta, n=n))
+        got = implicit_dimension(m, eps, delta, n)
         assert got == exact
 
     @pytest.mark.parametrize(
@@ -153,20 +146,18 @@ class TestImplicit:
     )
     def test_near_published_values(self, m, eps, delta, n, published):
         # The published tables carry root-finder noise of a few units.
-        got = n_prime_implicit(DimensionRequest(m=m, epsilon=eps, delta=delta, n=n))
+        got = implicit_dimension(m, eps, delta, n)
         assert abs(got - published) <= 5
 
     def test_minimality(self):
-        req = DimensionRequest(m=100, epsilon=0.01, delta=0.05, n=500_000)
-        got = n_prime_implicit(req)
+        got = implicit_dimension(100, 0.01, 0.05, 500_000)
         pairs = 100 * 99 / 2
         assert pairs * mp_pair_bound(got, 500_000, 0.05) <= 0.01
         assert pairs * mp_pair_bound(got - 1, 500_000, 0.05) > 0.01
 
     def test_never_above_explicit_cap(self):
         for m in (10, 1000, 2_000_000):
-            req = DimensionRequest(m=m, epsilon=0.01, delta=0.05, n=500_000)
-            assert n_prime_implicit(req) <= n_prime_explicit(req) + 1
+            assert implicit_dimension(m, 0.01, 0.05, 500_000) <= explicit_dimension(m, 0.01, 0.05) + 1
 
     def test_capped_when_bound_domain_exhausted(self):
         # delta = 0.01 at n = 5e5: the explicit cap exceeds n/(1+delta),
@@ -180,9 +171,28 @@ class TestImplicit:
         pairs = 2_000_000 * 1_999_999 / 2
         assert pairs * mp_pair_bound(strict, 500_000, 0.01) <= 0.01
 
-    def test_requires_n(self):
-        with pytest.raises(DomainError):
-            n_prime_implicit(DimensionRequest(m=10, epsilon=0.1, delta=0.1))
+    @given(
+        m=st.integers(min_value=2, max_value=10**7),
+        eps=st.floats(min_value=1e-6, max_value=0.5),
+        delta=st.floats(min_value=1e-3, max_value=0.499),
+        n=st.integers(min_value=3, max_value=10**7),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_bisection_returns_the_boundary(self, m, eps, delta, n):
+        # The bound falls in n' (see the implicit_dimension docstring), so
+        # bisection lands on the boundary: n' satisfies the log-domain
+        # bound and n'-1 does not, unless n' = 2.
+        cap = explicit_dimension(m, eps, delta) + 1
+        if cap * (1.0 + delta) >= n:
+            return  # capped path: the cap is returned unrefined
+        threshold = math.log(eps) - (math.log(m) + math.log(m - 1) - math.log(2.0))
+
+        def satisfied(n_prime):
+            return _log_pair_failure_bound(float(n_prime), float(n), delta) <= threshold
+
+        got = implicit_dimension(m, eps, delta, n)
+        assert satisfied(got)
+        assert got == 2 or not satisfied(got - 1)
 
     def test_implicit_grows_toward_explicit_with_n(self):
         vals = [
@@ -246,11 +256,3 @@ class TestGapDeltaBound:
             gap_delta_bound(2.1, 1.0)
         with pytest.raises(DomainError):
             gap_delta_bound(1.0, -0.5)
-
-
-def test_solve_bundles_everything():
-    res = solve(DimensionRequest(m=10, epsilon=0.01, delta=0.05, n=500_000))
-    assert (res.n_prime_explicit, res.n_prime_implicit) == (15226, 14205)
-    assert (res.dg_n_prime, res.dg_repetitions) == (3879, 44)
-    res2 = solve(DimensionRequest(m=10, epsilon=0.01, delta=0.05))
-    assert res2.n_prime_implicit is None

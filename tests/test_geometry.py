@@ -11,6 +11,8 @@ from jlkit.geometry import (
     estimate_failure_rate,
     export_histogram,
     pairwise_sq_dists,
+    sq_dist_matrix,
+    sq_dists_to,
     wilson_interval,
 )
 from jlkit.projection import Dataset, build_operator, project
@@ -46,6 +48,48 @@ class TestPairwiseSqDists:
     def test_length(self):
         pts = np.zeros((9, 2))
         assert pairwise_sq_dists(pts).size == 36
+
+
+class TestSqDistsTo:
+    def test_matches_brute_force(self):
+        rng = np.random.default_rng(0)
+        pts, centres = rng.standard_normal((17, 5)), rng.standard_normal((4, 5))
+        expected = [[float(np.sum((p - c) ** 2)) for c in centres] for p in pts]
+        np.testing.assert_allclose(sq_dists_to(pts, centres), expected, rtol=1e-12)
+
+    @pytest.mark.parametrize("offset", [0.0, 1e7])
+    def test_point_on_its_centre_is_exactly_zero(self, offset):
+        pts = np.random.default_rng(1).standard_normal((12, 30)) + offset
+        sq = sq_dists_to(pts, pts[[3, 8]])
+        assert sq[3, 0] == 0.0 and sq[8, 1] == 0.0
+        assert np.count_nonzero(sq == 0.0) == 2
+
+    def test_translation_invariant(self):
+        rng = np.random.default_rng(2)
+        pts, centres = rng.standard_normal((20, 40)), rng.standard_normal((3, 40))
+        base = sq_dists_to(pts, centres)
+        shifted = sq_dists_to(pts + 1e7, centres + 1e7)
+        np.testing.assert_allclose(shifted, base, rtol=1e-6)
+
+
+class TestSqDistMatrix:
+    def test_square_form_of_the_condensed_kernel(self):
+        pts = np.random.default_rng(0).standard_normal((9, 4))
+        sq = sq_dist_matrix(pts)
+        iu = np.triu_indices(9, 1)
+        assert np.array_equal(sq[iu], pairwise_sq_dists(pts))
+        assert np.array_equal(sq, sq.T)
+        assert np.all(np.diag(sq) == 0.0)
+
+    def test_duplicated_rows_are_exactly_zero(self):
+        # On these rows the Gram expansion leaves the duplicate pairs at
+        # about 7e-15 rather than 0.
+        pts = np.random.default_rng(2).standard_normal((10, 30))
+        pts = np.vstack([pts, pts[[2, 5]]])
+        sq = sq_dist_matrix(pts)
+        assert sq[2, 10] == sq[10, 2] == 0.0
+        assert sq[5, 11] == sq[11, 5] == 0.0
+        assert np.count_nonzero(sq == 0.0) == 12 + 4
 
 
 class TestDistortionReport:

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from jlkit.datagen import MixtureSpec, generate
 from jlkit.errors import DegenerateDataError, DomainError
+from jlkit.geometry import sq_dist_matrix
 from jlkit.kmeans import (
     Partition,
     balance_quotient,
@@ -23,7 +24,6 @@ from jlkit.kmeans import (
     save_partition,
     var_merge,
     var_merge_clusters,
-    _square_sq_dists,
 )
 from jlkit.projection import Dataset, build_operator, project
 
@@ -64,7 +64,7 @@ class TestClusterStats:
             part = Partition(assignments=labels, k=k)
             stats = cluster_stats(data, part)
             direct = float(np.sum((data.points - stats.centroids[part.assignments]) ** 2))
-            pairwise = partition_cost_sq_dists(_square_sq_dists(data.points), part)
+            pairwise = partition_cost_sq_dists(sq_dist_matrix(data.points), part)
             assert stats.cost == pytest.approx(direct, rel=1e-9)
             assert stats.cost == pytest.approx(pairwise, rel=1e-9)
 
@@ -141,7 +141,7 @@ class TestBruteForce:
     def test_hand_enumeration_three_points(self):
         # Two-block partitions of {0, 1, 10}: costs 0.5, 40.5, 50.
         data = line_dataset(0, 1, 10)
-        sq = _square_sq_dists(data.points)
+        sq = sq_dist_matrix(data.points)
         costs = {
             (0, 0, 1): 0.5,
             (0, 1, 1): 40.5,
@@ -184,7 +184,7 @@ class TestBruteForce:
         rng = np.random.default_rng(8)
         data = Dataset(points=rng.standard_normal((9, 4)))
         part_a, stats = brute_force_optimum(data, 3)
-        part_b, cost = brute_force_optimum_sq_dists(_square_sq_dists(data.points), 3)
+        part_b, cost = brute_force_optimum_sq_dists(sq_dist_matrix(data.points), 3)
         assert same_partition(part_a, part_b)
         assert cost == pytest.approx(stats.cost, rel=1e-9)
 
@@ -259,6 +259,27 @@ class TestFixedPoint:
         swapped = good.assignments.copy()
         swapped[0], swapped[20] = 1, 0
         assert not is_lloyd_fixed_point(data, Partition(assignments=swapped, k=2))
+
+
+def shifted_mixture():
+    # Two tight clusters far from the origin: the |x|^2 + |c|^2 - 2 x.c
+    # expansion loses every digit of their distances to rounding there.
+    data, truth = generate(MixtureSpec(
+        k=2, sizes=(20, 20), dim=50, centre_distance=1.0,
+        cluster_sigma=0.05, target_gap=1.0, seed=3,
+    ))
+    return Dataset(points=data.points + 1e7), truth
+
+
+class TestTranslatedData:
+    def test_truth_is_a_fixed_point(self):
+        data, truth = shifted_mixture()
+        assert is_lloyd_fixed_point(data, truth)
+
+    def test_lloyd_recovers_the_truth(self):
+        data, truth = shifted_mixture()
+        part, _ = lloyd(data, 2, init=0)
+        assert same_partition(part, truth)
 
 
 class TestMeasureGap:
