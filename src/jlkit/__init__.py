@@ -13,6 +13,7 @@ from .errors import (
     DomainError,
     InfeasibleError,
     JlkitError,
+    NumericalError,
     ShapeError,
 )
 
@@ -31,4 +32,5 @@ __all__ = [
     "ShapeError",
     "InfeasibleError",
     "DegenerateDataError",
+    "NumericalError",
 ]

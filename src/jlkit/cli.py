@@ -141,25 +141,25 @@ def _cmd_kmeans_compare(args) -> int:
     partitions = [lloyd_partition] + [
         _random_partition(rng, data.m, args.k) for _ in range(args.partitions)
     ]
-    stats_orig = [kmeans.cluster_stats(data, p) for p in partitions]
+    stats_orig = [lloyd_stats] + [kmeans.cluster_stats(data, p) for p in partitions[1:]]
     sandwich_pass = 0
     fixed_pass = 0
     rows = []
     for t in range(args.trials):
         op = build_operator(data.dim, n_prime, args.seed + t)
         projected = project(op, data)
-        trial_ok = True
-        for p, s_orig in zip(partitions, stats_orig):
-            s_proj = kmeans.cluster_stats(projected, p)
-            res = kmeans.cost_sandwich_check(s_orig, s_proj, data.dim, n_prime, args.delta)
-            trial_ok = trial_ok and res.passed
+        stats_proj = [kmeans.cluster_stats(projected, p) for p in partitions]
+        trial_ok = all(
+            kmeans.cost_sandwich_check(s_orig, s_proj, data.dim, n_prime, args.delta).passed
+            for s_orig, s_proj in zip(stats_orig, stats_proj)
+        )
         sandwich_pass += trial_ok
         fixed_ok = kmeans.is_lloyd_fixed_point(projected, lloyd_partition)
         fixed_pass += fixed_ok
         rows.append([
             args.seed + t,
             f"{lloyd_stats.cost:.10g}",
-            f"{(data.dim / n_prime) * kmeans.cluster_stats(projected, lloyd_partition).cost:.10g}",
+            f"{(data.dim / n_prime) * stats_proj[0].cost:.10g}",
             f"{(1 - args.delta) * lloyd_stats.cost:.10g}",
             f"{(1 + args.delta) * lloyd_stats.cost:.10g}",
             trial_ok and fixed_ok,
@@ -291,7 +291,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_kmeans_compare)
 
     p = sub.add_parser("clusterability", help="measure parameters and validate transport")
-    p.add_argument("--input", required=True, help="small dataset (m <= 14: exact oracle)")
+    p.add_argument("--input", required=True,
+                   help="small dataset (exact oracle: m <= 14, S(m, k) <= 2^22)")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--epsilon", type=float, default=None)

@@ -19,3 +19,7 @@ class InfeasibleError(JlkitError, RuntimeError):
 
 class DegenerateDataError(JlkitError, ValueError):
     """The input data is degenerate for the requested operation."""
+
+
+class NumericalError(JlkitError, ArithmeticError):
+    """A computation broke an invariant it must keep, such as a falling cost."""

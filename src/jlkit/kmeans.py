@@ -10,12 +10,13 @@ to bare distance matrices (needed for metric perturbation checks).
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDataError, DomainError, ShapeError
+from .errors import DegenerateDataError, DomainError, NumericalError, ShapeError
 from .geometry import sq_dist_matrix, sq_dists_to
 from .projection import Dataset
 
@@ -151,7 +152,8 @@ def lloyd(
 
     ``init`` is either a Partition, an integer seed for plain uniform
     seeding (k distinct data points as starting centroids), or None for
-    seed 0.  Cost is checked to be non-increasing at every step.
+    seed 0.  Cost is checked to be non-increasing at every step; a rise
+    raises NumericalError.
     """
     if k > data.m:
         raise DomainError(f"k={k} exceeds number of points m={data.m}")
@@ -177,7 +179,8 @@ def lloyd(
                 centroids[j] = members.mean(axis=0)
         sq = sq_dists_to(points, centroids)
         cost = float(sq[np.arange(data.m), assignments].sum())
-        assert cost <= prev_cost * (1 + 1e-12) + 1e-12, "Lloyd cost increased"
+        if cost > prev_cost * (1 + 1e-12) + 1e-12:
+            raise NumericalError(f"Lloyd cost increased from {prev_cost:.17g} to {cost:.17g}")
         prev_cost = cost
         # argmin breaks ties toward the lowest cluster index.
         new_assignments = _repair_empty(sq, np.argmin(sq, axis=1), k)
@@ -191,57 +194,58 @@ def lloyd(
 # ---------------------------------------------------------------------------
 # Exact oracle: exhaustive enumeration of set partitions into k blocks.
 
-_partition_mask_cache: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+# Largest number of partitions S(m, k) the oracle enumerates: every m <= 12
+# and (14, 3).  At m = 14, k in 4..9 has 5M-63M, too many to hold; larger k
+# needs the subset dynamic program over the 2^m block costs.
+PARTITION_CAP = 1 << 22
+_COST_CHUNK = 1 << 16  # partitions costed at once
 
 
-def _partition_masks(m: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+def _check_oracle_size(m: int, k: int) -> None:
+    # Every limit of the exact oracle, checked before anything is allocated.
+    if m > BRUTE_FORCE_MAX_POINTS:
+        raise DomainError(f"brute force limited to m <= {BRUTE_FORCE_MAX_POINTS}, got m={m}")
+    if not 1 <= k <= m:
+        raise DomainError(f"need 1 <= k <= m, got k={k}, m={m}")
+    count = sum((-1) ** j * math.comb(k, j) * (k - j) ** m for j in range(k + 1)) // math.factorial(k)
+    if count > PARTITION_CAP:
+        raise DomainError(f"S({m}, {k}) = {count} partitions exceeds the cap {PARTITION_CAP}")
+
+
+@functools.cache
+def _partition_masks(m: int, k: int) -> np.ndarray:
     """All partitions of {0..m-1} into exactly k nonempty blocks.
 
-    Returned as a (count, k) array of bitmasks plus the matching block
-    sizes, enumerated in restricted growth string order (lexicographic in
-    the assignment vector); block j is the block whose smallest member
-    appears j-th.
+    A read-only (k, count) array of bitmasks, cached per (m, k): column c
+    is partition c in restricted growth string order (lexicographic in the
+    assignment vector), row j the block whose smallest member appears j-th.
+    The strings grow one element at a time, children in label order.
     """
-    key = (m, k)
-    if key in _partition_mask_cache:
-        return _partition_mask_cache[key]
-    rows: list[list[int]] = []
-    masks = [0] * k
-
-    def grow(i: int, used: int):
-        remaining = m - i
-        if remaining == 0:
-            if used == k:
-                rows.append(masks.copy())
-            return
-        if used + remaining < k:
-            return
-        top = min(used + 1, k)
-        for j in range(top):
-            if j == used:
-                masks[j] = 1 << i
-                grow(i + 1, used + 1)
-                masks[j] = 0
-            else:
-                masks[j] |= 1 << i
-                grow(i + 1, used)
-                masks[j] &= ~(1 << i)
-
-    grow(0, 0)
-    table = np.array(rows, dtype=np.int64)
-    sizes = np.zeros_like(table, dtype=np.float64)
-    for b in range(m):
-        sizes += (table >> b) & 1
-    _partition_mask_cache[key] = (table, sizes)
-    return table, sizes
+    masks = np.zeros((k, 1), dtype=np.intp)
+    masks[0, 0] = 1
+    used = np.ones(1, dtype=np.int64)
+    for i in range(1, m):
+        # Labels lo..min(used, k-1) for element i; a row that needs every
+        # remaining element to open a new block only takes the new label.
+        lo = np.where(used + (m - 1 - i) >= k, 0, used)
+        counts = np.minimum(used, k - 1) - lo + 1
+        parent = np.repeat(np.arange(used.size), counts)
+        child = np.arange(parent.size)
+        label = lo[parent] + child - (np.cumsum(counts) - counts)[parent]
+        masks = masks[:, parent]
+        masks[label, child] |= 1 << i
+        used = np.maximum(used[parent], label + 1)
+    masks.flags.writeable = False
+    return masks
 
 
-def _pair_sums(sq: np.ndarray) -> np.ndarray:
-    # pair_sums[mask] = sum of sq[i, j] over unordered pairs i < j in mask.
+def _block_costs(sq: np.ndarray) -> np.ndarray:
+    # cost[mask] = (1/|mask|) sum of sq[i, j] over unordered pairs i < j in
+    # mask, for each of the 2^m subsets; 0 for the empty one.
     m = sq.shape[0]
-    count = 1 << m
-    members = ((np.arange(count)[:, None] >> np.arange(m)[None, :]) & 1).astype(np.float64)
-    return 0.5 * np.einsum("si,si->s", members @ sq, members)
+    members = ((np.arange(1 << m)[:, None] >> np.arange(m)[None, :]) & 1).astype(np.float64)
+    pair_sums = 0.5 * np.einsum("si,si->s", members @ sq, members)
+    return pair_sums / np.maximum(members.sum(axis=1), 1.0)
 
 
 def partition_cost_sq_dists(sq: np.ndarray, partition: Partition) -> float:
@@ -260,37 +264,35 @@ def partition_cost_sq_dists(sq: np.ndarray, partition: Partition) -> float:
     return total
 
 
-def _masks_to_partition(masks: np.ndarray, m: int) -> Partition:
-    assignments = np.empty(m, dtype=np.int64)
-    for j, mask in enumerate(masks):
-        mask = int(mask)
-        while mask:
-            i = (mask & -mask).bit_length() - 1
-            assignments[i] = j
-            mask &= mask - 1
-    return Partition(assignments=assignments, k=masks.size)
-
-
 def brute_force_optimum_sq_dists(sq: np.ndarray, k: int) -> tuple[Partition, float]:
     """Global k-means optimum of a squared-distance matrix by enumeration.
 
     Ties break toward the lexicographically smallest assignment vector.
-    Limited to m <= BRUTE_FORCE_MAX_POINTS.
+    Limited to m <= BRUTE_FORCE_MAX_POINTS and S(m, k) <= PARTITION_CAP.
     """
     m = sq.shape[0]
-    if m > BRUTE_FORCE_MAX_POINTS:
-        raise DomainError(f"brute force limited to m <= {BRUTE_FORCE_MAX_POINTS}, got m={m}")
-    if not 1 <= k <= m:
-        raise DomainError(f"need 1 <= k <= m, got k={k}, m={m}")
-    masks, sizes = _partition_masks(m, k)
-    pair_sums = _pair_sums(sq)
-    costs = (pair_sums[masks] / sizes).sum(axis=1)
-    best = int(np.argmin(costs))  # first minimum = lexicographically first
-    return _masks_to_partition(masks[best], m), float(costs[best])
+    _check_oracle_size(m, k)
+    masks = _partition_masks(m, k)
+    block_cost = _block_costs(sq)
+    # Costs summed block by block, the order of numpy's row sum for k <= 7,
+    # in chunks whose temporaries stay in cache.  The first minimum of the
+    # chunk minima is the first minimum overall: the lexicographically first.
+    firsts, minima = [], []
+    for start in range(0, masks.shape[1], _COST_CHUNK):
+        costs = block_cost[masks[0, start:start + _COST_CHUNK]]
+        for j in range(1, k):
+            costs += block_cost[masks[j, start:start + _COST_CHUNK]]
+        i = int(np.argmin(costs))
+        firsts.append(start + i)
+        minima.append(costs[i])
+    chunk = int(np.argmin(minima))
+    labels = np.argmax((masks[:, firsts[chunk], None] >> np.arange(m)) & 1, axis=0)
+    return Partition(assignments=labels, k=k), float(minima[chunk])
 
 
 def brute_force_optimum(data: Dataset, k: int) -> tuple[Partition, ClusterStats]:
     """Global optimum over all partitions of the dataset into k clusters."""
+    _check_oracle_size(data.m, k)
     partition, _ = brute_force_optimum_sq_dists(sq_dist_matrix(data.points), k)
     return partition, cluster_stats(data, partition)
 

@@ -4,8 +4,9 @@ import struct
 import numpy as np
 import pytest
 
-from jlkit.cli import main
-from jlkit.projection import Dataset, load_dataset, save_dataset
+from jlkit import kmeans
+from jlkit.cli import _random_partition, main
+from jlkit.projection import Dataset, build_operator, load_dataset, project, save_dataset
 from tests.test_kmeans import shifted_mixture
 
 
@@ -170,7 +171,79 @@ class TestKmeansCompare:
         assert "fixed-point transfer rate:" in out
 
 
+    def _mixture(self, capsys, tmp_path):
+        data_path = str(tmp_path / "data.bin")
+        run(capsys, "gen", "--k", "2", "--sizes", "20,20", "--dim", "300",
+            "--distance", "12", "--sigma", "1", "--gap", "1", "--seed", "1",
+            "--out", data_path)
+        return data_path
+
+    def test_csv_matches_fresh_stats(self, capsys, tmp_path):
+        # Every CSV byte from stats computed afresh for each use.
+        data_path = self._mixture(capsys, tmp_path)
+        results = str(tmp_path / "results.csv")
+        code, _, _ = run(
+            capsys, "kmeans-compare", "--input", data_path, "--k", "2",
+            "--delta", "0.2", "--nprime", "100", "--trials", "4",
+            "--partitions", "3", "--seed", "5", "--out", results,
+        )
+        assert code == 0
+        data = load_dataset(data_path)
+        lloyd_partition, _ = kmeans.lloyd(data, 2, init=5)
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=5, spawn_key=(1,)))
+        partitions = [lloyd_partition] + [_random_partition(rng, data.m, 2) for _ in range(3)]
+        lloyd_cost = kmeans.cluster_stats(data, lloyd_partition).cost
+        lines = ["seed,cost_original,cost_projected_adjusted,lower_bound,upper_bound,pass"]
+        for t in range(4):
+            projected = project(build_operator(300, 100, 5 + t), data)
+            sandwich = all(
+                kmeans.cost_sandwich_check(kmeans.cluster_stats(data, p),
+                                           kmeans.cluster_stats(projected, p), 300, 100, 0.2).passed
+                for p in partitions
+            )
+            fixed = kmeans.is_lloyd_fixed_point(projected, lloyd_partition)
+            adjusted = (300 / 100) * kmeans.cluster_stats(projected, lloyd_partition).cost
+            lines.append(f"{5 + t},{lloyd_cost:.10g},{adjusted:.10g},{(1 - 0.2) * lloyd_cost:.10g},"
+                         f"{(1 + 0.2) * lloyd_cost:.10g},{sandwich and fixed}")
+        with open(results, "rb") as fh:
+            assert fh.read() == ("\r\n".join(lines) + "\r\n").encode()
+
+    def test_cluster_stats_calls_per_trial(self, capsys, tmp_path, monkeypatch):
+        # One call per partition in the projected space, plus the one inside
+        # is_lloyd_fixed_point; the CSV row reuses the Lloyd partition's.
+        data_path = self._mixture(capsys, tmp_path)
+        real = kmeans.cluster_stats
+        counts = []
+
+        def counted(*args):
+            counts[-1] += 1
+            return real(*args)
+
+        monkeypatch.setattr(kmeans, "cluster_stats", counted)
+        for trials in ("1", "2"):
+            counts.append(0)
+            code, _, _ = run(
+                capsys, "kmeans-compare", "--input", data_path, "--k", "2", "--delta", "0.4",
+                "--nprime", "200", "--trials", trials, "--partitions", "5",
+                "--out", str(tmp_path / "results.csv"),
+            )
+            assert code == 0
+        assert counts[1] - counts[0] == 5 + 2
+
+
 class TestClusterability:
+    def test_partition_cap_exit_2(self, capsys, tmp_path):
+        # S(14, 6) = 63,436,373 partitions: refused before any enumeration.
+        data_path = str(tmp_path / "fourteen.bin")
+        run(capsys, "gen", "--k", "2", "--sizes", "7,7", "--dim", "20", "--seed", "2",
+            "--out", data_path)
+        code, _, err = run(
+            capsys, "clusterability", "--input", data_path, "--k", "6",
+            "--delta", "0.3", "--nprime", "10", "--trials", "1",
+        )
+        assert code == 2
+        assert "partitions" in err
+
     def test_small_instance_report(self, capsys, tmp_path):
         data_path = str(tmp_path / "tiny.bin")
         report = str(tmp_path / "transport.csv")

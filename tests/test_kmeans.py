@@ -1,9 +1,15 @@
+import functools
+import itertools
+import tracemalloc
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from jlkit import kmeans
 from jlkit.datagen import MixtureSpec, generate
-from jlkit.errors import DegenerateDataError, DomainError
+from jlkit.errors import DegenerateDataError, DomainError, NumericalError
 from jlkit.geometry import sq_dist_matrix
 from jlkit.kmeans import (
     Partition,
@@ -136,6 +142,21 @@ class TestLloyd:
         with pytest.raises(DomainError):
             lloyd(line_dataset(0, 1), 3)
 
+    def test_cost_rise_raises(self, monkeypatch):
+        # A growing constant on every distance leaves each argmin alone but
+        # makes the second iteration's cost exceed the first's.
+        calls = []
+        real = kmeans.sq_dists_to
+
+        def rising(points, centres):
+            calls.append(None)
+            return real(points, centres) + 1e3 * len(calls)
+
+        monkeypatch.setattr(kmeans, "sq_dists_to", rising)
+        data = line_dataset(0, 1, 10, 11)
+        with pytest.raises(NumericalError, match="Lloyd cost increased"):
+            lloyd(data, 2, init=Partition(assignments=np.array([0, 1, 0, 1]), k=2))
+
 
 class TestBruteForce:
     def test_hand_enumeration_three_points(self):
@@ -187,6 +208,130 @@ class TestBruteForce:
         part_b, cost = brute_force_optimum_sq_dists(sq_dist_matrix(data.points), 3)
         assert same_partition(part_a, part_b)
         assert cost == pytest.approx(stats.cost, rel=1e-9)
+
+
+def stirling2(m, k):
+    # S(m, k) by the recurrence S(m, k) = k S(m-1, k) + S(m-1, k-1).
+    if m == k:
+        return 1
+    if k == 0 or k > m:
+        return 0
+    return k * stirling2(m - 1, k) + stirling2(m - 1, k - 1)
+
+
+@functools.cache
+def restricted_growth_strings(m):
+    # Every assignment vector with a[0] = 0 and a[i] <= max(a[:i]) + 1, in
+    # lexicographic order.
+    return [
+        labels for labels in itertools.product(*(range(i + 1) for i in range(m)))
+        if all(a <= top + 1 for a, top in zip(labels[1:], itertools.accumulate(labels, max)))
+    ]
+
+
+def partitions_into(m, k):
+    return [labels for labels in restricted_growth_strings(m) if max(labels) + 1 == k]
+
+
+def exact_optimum(points, k):
+    # Lexicographically first optimal assignment and its cost, in exact
+    # rational arithmetic over every partition.
+    rows = [[Fraction(float(x)) for x in p] for p in points]
+    sq = [[sum((a - b) ** 2 for a, b in zip(p, q)) for q in rows] for p in rows]
+    best = None
+    for labels in partitions_into(len(rows), k):
+        cost = Fraction(0)
+        for j in range(k):
+            idx = [i for i, a in enumerate(labels) if a == j]
+            cost += Fraction(sum(sq[i][i2] for i, i2 in itertools.combinations(idx, 2)), len(idx))
+        if best is None or cost < best[0]:
+            best = (cost, labels)
+    return best
+
+
+class TestPartitionMasks:
+    @pytest.mark.parametrize("m", range(1, 10))
+    def test_matches_restricted_growth_reference(self, m):
+        for k in range(1, m + 1):
+            expected = np.array([
+                [sum(1 << i for i, a in enumerate(labels) if a == j) for j in range(k)]
+                for labels in partitions_into(m, k)
+            ])
+            masks = kmeans._partition_masks(m, k)
+            assert masks.shape == (k, stirling2(m, k))
+            assert np.array_equal(masks.T, expected)
+
+
+# Integer coordinates in the tied cases: every pair sum is exact, so tied
+# partitions tie in floating point too and the first one must win.
+ORACLE_CASES = {
+    **{f"random-{m}": np.random.default_rng(100 + m).standard_normal((m, 3)) for m in range(1, 9)},
+    "unit-square": np.array([[0, 0], [1, 0], [0, 1], [1, 1]], dtype=float),
+    "duplicated-points": np.array([[0], [0], [3], [3], [7], [7], [7], [10]], dtype=float),
+    "grid-with-duplicate": np.array([[0, 0], [1, 0], [2, 0], [0, 1], [1, 1], [2, 1], [1, 1]], dtype=float),
+}
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_oracle_matches_exact_reference(case):
+    points = ORACLE_CASES[case]
+    for k in range(1, len(points) + 1):
+        cost, labels = exact_optimum(points, k)
+        part, found = brute_force_optimum_sq_dists(sq_dist_matrix(points), k)
+        assert found == pytest.approx(float(cost), rel=1e-12, abs=1e-15)
+        assert np.array_equal(part.assignments, labels)
+
+
+@pytest.mark.parametrize("k", [3, 4])
+@pytest.mark.parametrize("points", [
+    np.random.default_rng(7).standard_normal((12, 3)),
+    np.repeat(np.array([[0.0], [1.0], [5.0], [6.0]]), 3, axis=0),
+    np.zeros((12, 2)),
+], ids=["random", "triplicated", "all-equal"])
+def test_chunked_minimum_is_the_first_overall(points, k):
+    # S(12, 3) = 86,526 and S(12, 4) = 611,501 partitions span more than one cost chunk.
+    sq = sq_dist_matrix(points)
+    masks = kmeans._partition_masks(12, k)
+    assert masks.shape[1] > kmeans._COST_CHUNK
+    costs = kmeans._block_costs(sq)[masks].sum(axis=0)
+    best = int(np.argmin(costs))
+    expected = np.argmax((masks[:, best, None] >> np.arange(12)) & 1, axis=0)
+    part, found = brute_force_optimum_sq_dists(sq, k)
+    assert found == costs[best]
+    assert np.array_equal(part.assignments, expected)
+
+
+class TestOracleLimits:
+    def test_size_checked_before_distance_matrix(self):
+        # 4000 x 4000 float64 distances would take 122 MiB.
+        data = Dataset(points=np.random.default_rng(0).standard_normal((4000, 20)))
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError):
+                brute_force_optimum(data, 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("m, k", [(14, 4), (14, 6), (14, 9), (13, 5)])
+    def test_partition_cap_raises_before_allocation(self, m, k):
+        assert stirling2(m, k) > kmeans.PARTITION_CAP
+        sq = np.zeros((m, m))
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match="partitions"):
+                brute_force_optimum_sq_dists(sq, k)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_cap_admits_every_m_up_to_12_and_14_3(self):
+        admitted = [(m, k) for m in range(1, 13) for k in range(1, m + 1)] + [(14, 3)]
+        for m, k in admitted:
+            kmeans._check_oracle_size(m, k)
+            assert stirling2(m, k) <= kmeans.PARTITION_CAP
 
 
 class TestVarMerge:
@@ -400,6 +545,6 @@ def test_lloyd_cost_never_increases_property(seed):
     rng = np.random.default_rng(seed)
     data = Dataset(points=rng.standard_normal((25, 3)))
     part, stats = lloyd(data, 3, init=int(seed % 100))
-    # The in-loop assertion guards monotonicity; a converged run must be
+    # The in-loop check guards monotonicity; a converged run must be
     # a fixed point too.
     assert is_lloyd_fixed_point(data, part)
