@@ -129,6 +129,8 @@ def _cmd_verify(args) -> int:
             f"failure rate: {est.failures}/{est.trials} = {est.rate:.4f} "
             f"(95% Wilson [{lo:.4f}, {hi:.4f}])"
         )
+        q_lo, q_hi = min(e[0] for e in est.extremes), max(e[1] for e in est.extremes)
+        print(f"quotient range over trials: [{q_lo:.6g}, {q_hi:.6g}]")
     return 0
 
 
@@ -139,48 +141,23 @@ def _cmd_kmeans_compare(args) -> int:
     lloyd_partition, lloyd_stats = kmeans.lloyd(data, args.k, init=args.seed)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=args.seed, spawn_key=(1,)))
     partitions = [lloyd_partition] + [
-        _random_partition(rng, data.m, args.k) for _ in range(args.partitions)
+        kmeans.random_partition(rng, data.m, args.k) for _ in range(args.partitions)
     ]
-    stats_orig = [lloyd_stats] + [kmeans.cluster_stats(data, p) for p in partitions[1:]]
-    sandwich_pass = 0
-    fixed_pass = 0
-    rows = []
-    for t in range(args.trials):
-        op = build_operator(data.dim, n_prime, args.seed + t)
-        projected = project(op, data)
-        stats_proj = [kmeans.cluster_stats(projected, p) for p in partitions]
-        trial_ok = all(
-            kmeans.cost_sandwich_check(s_orig, s_proj, data.dim, n_prime, args.delta).passed
-            for s_orig, s_proj in zip(stats_orig, stats_proj)
-        )
-        sandwich_pass += trial_ok
-        fixed_ok = kmeans.is_lloyd_fixed_point(projected, lloyd_partition)
-        fixed_pass += fixed_ok
-        rows.append([
-            args.seed + t,
-            f"{lloyd_stats.cost:.10g}",
-            f"{(data.dim / n_prime) * stats_proj[0].cost:.10g}",
-            f"{(1 - args.delta) * lloyd_stats.cost:.10g}",
-            f"{(1 + args.delta) * lloyd_stats.cost:.10g}",
-            trial_ok and fixed_ok,
-        ])
+    records = kmeans.sandwich_trials(data, partitions, n_prime, args.delta, args.trials, args.seed)
+    sandwich_pass = sum(r.passed for r in records)
+    fixed_pass = sum(r.fixed_point for r in records)
     if args.out:
+        cost, delta = lloyd_stats.cost, args.delta
         with open(args.out, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["seed", "cost_original", "cost_projected_adjusted",
                              "lower_bound", "upper_bound", "pass"])
-            writer.writerows(rows)
+            writer.writerows([r.seed, f"{cost:.10g}", f"{r.first_cost:.10g}", f"{(1 - delta) * cost:.10g}",
+                              f"{(1 + delta) * cost:.10g}", r.passed and r.fixed_point] for r in records)
         print(f"results -> {args.out}")
     print(f"sandwich pass rate: {sandwich_pass}/{args.trials} = {sandwich_pass / args.trials:.4f}")
     print(f"fixed-point transfer rate: {fixed_pass}/{args.trials} = {fixed_pass / args.trials:.4f}")
     return 0
-
-
-def _random_partition(rng, m: int, k: int) -> kmeans.Partition:
-    while True:
-        labels = rng.integers(0, k, size=m)
-        if np.unique(labels).size == k:
-            return kmeans.Partition(assignments=labels, k=k)
 
 
 def _cmd_clusterability(args) -> int:
@@ -199,22 +176,24 @@ def _cmd_clusterability(args) -> int:
     )
     predicted = clus.transport(before, args.delta)
     shrink = (1.0 - args.delta) / (1.0 + args.delta)
-    ok = {"sigma": 0, "beta": 0, "deletion": 0}
-    for t in range(args.trials):
-        op = build_operator(data.dim, n_prime, args.seed + t)
-        projected = project(op, data)
-        sigma_p = clus.measure_sigma_separatedness(projected, args.k)
-        part_p, _ = kmeans.brute_force_optimum(projected, args.k)
-        beta_p = clus.measure_centre_stability(projected, part_p)
-        deletion_p = clus.measure_weak_deletion_stability(projected, args.k)
-        ok["sigma"] += sigma_p <= sigma / np.sqrt(shrink)
-        ok["beta"] += beta_p >= beta * np.sqrt(shrink)
-        ok["deletion"] += deletion_p >= deletion * shrink
+    records = clus.transport_trials(data, args.k, n_prime, args.trials, args.seed)
+    ok = {
+        "sigma": sum(r.sigma <= sigma / np.sqrt(shrink) for r in records),
+        "beta": sum(r.beta >= beta * np.sqrt(shrink) for r in records),
+        "deletion": sum(r.deletion_ratio >= deletion * shrink for r in records),
+    }
     for name, count in ok.items():
         print(f"{name} bound satisfied: {count}/{args.trials} = {count / args.trials:.4f}")
     if args.out:
+        # The worst value over the trials: the largest sigma, the smallest beta and ratio.
+        worst = clus.TransportedParams(
+            sigma_separatedness=max(r.sigma for r in records),
+            centre_stability_beta=min(r.beta for r in records),
+            weak_deletion_beta=min(r.deletion_ratio for r in records) - 1.0,
+        )
         report = clus.TransportReport(
             before=before, predicted_after=predicted, delta=args.delta, epsilon=args.epsilon or 0.0,
+            measured_after=worst,
         )
         clus.write_transport_csv(report, args.out)
         print(f"transport report -> {args.out}")

@@ -35,13 +35,15 @@ from .kmeans import (
     cluster_stats,
     same_partition,
 )
-from .projection import Dataset
+from .projection import Dataset, build_operator, project
 
 __all__ = [
     "ClusterabilityParams",
     "TransportReport",
     "TransportedParams",
+    "TransportTrial",
     "transport",
+    "transport_trials",
     "required_mult_perturb_s",
     "measure_sigma_separatedness",
     "measure_centre_stability",
@@ -80,7 +82,7 @@ class TransportReport:
     predicted_after: "TransportedParams"
     delta: float
     epsilon: float
-    measured_after: "ClusterabilityParams | None" = None
+    measured_after: "TransportedParams | None" = None
 
 
 @dataclass
@@ -98,6 +100,14 @@ class TransportedParams:
     weak_deletion_beta: float | None = None
     mult_perturb_s: float | None = None
     degraded: dict = field(default_factory=dict)
+
+
+@dataclass(frozen=True)
+class TransportTrial:
+    seed: int               # operator seed of the projection
+    sigma: float            # measured on the projection: sigma-separatedness,
+    beta: float             # centre stability of its optimum,
+    deletion_ratio: float   # and the weak-deletion ratio
 
 
 def transport(before: ClusterabilityParams, delta: float) -> TransportedParams:
@@ -201,6 +211,22 @@ def measure_weak_deletion_stability(data: Dataset, k: int) -> float:
     return best / stats.cost
 
 
+def transport_trials(
+    data: Dataset, k: int, n_prime: int, trials: int, base_seed: int
+) -> list[TransportTrial]:
+    """Measure sigma, beta and the deletion ratio under projections with seeds base_seed + t."""
+    if trials < 1:
+        raise DomainError(f"trials must be >= 1, got {trials}")
+    records = []
+    for seed in range(base_seed, base_seed + trials):
+        projected = project(build_operator(data.dim, n_prime, seed), data)
+        sigma = measure_sigma_separatedness(projected, k)
+        partition, _ = brute_force_optimum(projected, k)
+        records.append(TransportTrial(seed, sigma, measure_centre_stability(projected, partition),
+                                      measure_weak_deletion_stability(projected, k)))
+    return records
+
+
 def check_perturbation_robustness(
     data: Dataset, k: int, s: float, trials: int, seed: int
 ) -> bool:
@@ -250,7 +276,7 @@ def write_transport_csv(report: TransportReport, path: str) -> None:
         rows.append([name, _fmt(before), _fmt(predicted), _fmt(measured), ok])
 
     b, p = report.before, report.predicted_after
-    meas = report.measured_after or ClusterabilityParams()
+    meas = report.measured_after or TransportedParams()
     add("sigma_separatedness", b.sigma_separatedness, p.sigma_separatedness,
         meas.sigma_separatedness, "low")
     add("approx_stability_c", None if b.approx_stability is None else b.approx_stability[0],

@@ -50,6 +50,7 @@ class FailureRateEstimate:
     failures: int
     rate: float
     wilson_interval: tuple[float, float]
+    extremes: tuple[tuple[float, float], ...]  # per trial: min, max quotient; (inf, -inf) if m = 1
 
 
 # Rows per block of the pairwise kernel: at m = 5000 each of a block's
@@ -165,14 +166,30 @@ def sq_dists_to(points: np.ndarray, centres: np.ndarray) -> np.ndarray:
     return out
 
 
+def _block_quotients(sq_orig: np.ndarray, projected: np.ndarray, adjust: float) -> Iterator[np.ndarray]:
+    # adjust * projected / original squared distance per row block, pairs with a
+    # zero original distance dropped.  Each block reads its slice of the condensed
+    # sq_orig before its quotients are yielded, so the caller may overwrite it.
+    read = 0
+    for sq_proj in _upper_blocks(projected, _BLOCK):
+        sq_o = sq_orig[read : read + sq_proj.size]
+        read += sq_proj.size
+        nonzero = sq_o > 0.0
+        if not nonzero.all():
+            sq_o, sq_proj = sq_o[nonzero], sq_proj[nonzero]
+        q = np.multiply(adjust, sq_proj)
+        q /= sq_o
+        yield q
+
+
 def distortion_report(original: Dataset, projected: Dataset, delta: float) -> DistortionReport:
     """Check every pair against the distortion band [1-delta, 1+delta].
 
     Quotients are adjusted by n/n' and kept in condensed i < j order.  The
     original distances come from ``pairwise_sq_dists`` and the projected
     ones are streamed through the same upper-triangle row blocks, each
-    block dividing its slice of the original distances in place, so the
-    one condensed array is the returned quotients.  Pairs whose original
+    block's quotients overwriting its slice of the original distances, so
+    the one condensed array is the returned quotients.  Pairs whose original
     points coincide carry no information (the band is vacuous there); they
     are excluded from the quotients and counted in ``zero_pairs``.  That
     includes every pair of bitwise-equal original rows, whatever rounding
@@ -192,19 +209,11 @@ def distortion_report(original: Dataset, projected: Dataset, delta: float) -> Di
     adjust = original.dim / projected.dim
     band = (1.0 - delta, 1.0 + delta)
     # The original distances fill the buffer that becomes the quotients:
-    # each projected block divides its slice, and pairs with a nonzero
-    # original distance are compacted towards the front, never ahead of
-    # the slice still to be read.
+    # pairs with a nonzero original distance are compacted towards the
+    # front, never ahead of the slice still to be read.
     quotients = pairwise_sq_dists(original.points, _BLOCK)
-    read = pos = violations = 0
-    for sq_proj in _upper_blocks(projected.points, _BLOCK):
-        sq_orig = quotients[read : read + sq_proj.size]
-        read += sq_proj.size
-        nonzero = sq_orig > 0.0
-        if not nonzero.all():
-            sq_orig, sq_proj = sq_orig[nonzero], sq_proj[nonzero]
-        q = np.multiply(adjust, sq_proj)
-        q /= sq_orig
+    pos = violations = 0
+    for q in _block_quotients(quotients, projected.points, adjust):
         violations += int(np.count_nonzero((q < band[0]) | (q > band[1])))
         quotients[pos : pos + q.size] = q
         pos += q.size
@@ -227,8 +236,9 @@ def estimate_failure_rate(
     """Fraction of independent projections (seeds base_seed + t) that fail the band.
 
     The original pairwise distances are computed once; each trial streams
-    its projected distances block by block against them and stops at the
-    first block with a quotient outside the band.
+    its projected distances block by block against them and keeps only its
+    smallest and largest quotient (bit for bit those of ``distortion_report``
+    on the same projection); it fails when either leaves the band.
     """
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials}")
@@ -236,25 +246,22 @@ def estimate_failure_rate(
     if sq_orig.size > 0 and not np.any(sq_orig > 0.0):
         raise DegenerateDataError("all point pairs coincide in the original data")
     adjust = data.dim / n_prime
-    lo, hi = 1.0 - delta, 1.0 + delta
-    failures = 0
+    extremes = []
     for t in range(trials):
-        op = build_operator(data.dim, n_prime, base_seed + t)
-        pos = 0
-        for sq_proj in _upper_blocks(project(op, data).points, _BLOCK):
-            orig = sq_orig[pos : pos + sq_proj.size]
-            pos += sq_proj.size
-            nonzero = orig > 0.0
-            quotients = adjust * sq_proj[nonzero] / orig[nonzero]
-            if np.any((quotients < lo) | (quotients > hi)):
-                failures += 1
-                break
-    rate = failures / trials
+        projected = project(build_operator(data.dim, n_prime, base_seed + t), data)
+        lo, hi = math.inf, -math.inf
+        for q in _block_quotients(sq_orig, projected.points, adjust):
+            if q.size:
+                lo, hi = min(lo, float(q.min())), max(hi, float(q.max()))
+        del projected  # freed before the next trial's projection is built
+        extremes.append((lo, hi))
+    failures = sum(lo < 1.0 - delta or hi > 1.0 + delta for lo, hi in extremes)
     return FailureRateEstimate(
         trials=trials,
         failures=failures,
-        rate=rate,
+        rate=failures / trials,
         wilson_interval=wilson_interval(failures, trials),
+        extremes=tuple(extremes),
     )
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DegenerateDataError, DomainError, NumericalError, ShapeError
 from .geometry import sq_dist_matrix, sq_dists_to
-from .projection import Dataset
+from .projection import Dataset, build_operator, project
 
 __all__ = [
     "Partition",
@@ -26,13 +26,16 @@ __all__ = [
     "PairBalance",
     "GapMeasure",
     "SandwichResult",
+    "SandwichTrial",
     "GlobalTransferResult",
     "cluster_stats",
+    "random_partition",
     "lloyd",
     "brute_force_optimum",
     "brute_force_optimum_sq_dists",
     "partition_cost_sq_dists",
     "cost_sandwich_check",
+    "sandwich_trials",
     "var_merge",
     "var_merge_clusters",
     "balance_quotient",
@@ -108,6 +111,15 @@ class SandwichResult:
 
 
 @dataclass(frozen=True)
+class SandwichTrial:
+    seed: int
+    passed: bool                          # every partition's cost inside the band
+    quotient_range: tuple[float, float]   # smallest and largest (n/n') J' / J
+    first_cost: float                     # (n/n') J' of the first partition
+    fixed_point: bool                     # the first partition is a Lloyd fixed point
+
+
+@dataclass(frozen=True)
 class GlobalTransferResult:
     forward_ok: bool      # (n/n') OPT' <= (1+delta) OPT
     forward_margin: float
@@ -130,6 +142,14 @@ def cluster_stats(data: Dataset, partition: Partition) -> ClusterStats:
         variances[j] = np.mean(np.sum((members - centroids[j]) ** 2, axis=1))
     cost = float(np.dot(sizes, variances))
     return ClusterStats(centroids=centroids, sizes=sizes, variances=variances, cost=cost)
+
+
+def random_partition(rng: np.random.Generator, m: int, k: int) -> Partition:
+    """Uniform labels in 0..k-1 for m points, redrawn until every cluster is nonempty."""
+    while True:
+        labels = rng.integers(0, k, size=m)
+        if np.unique(labels).size == k:
+            return Partition(assignments=labels, k=k)
 
 
 def _repair_empty(sq: np.ndarray, assignments: np.ndarray, k: int) -> np.ndarray:
@@ -239,29 +259,29 @@ def _partition_masks(m: int, k: int) -> np.ndarray:
     return masks
 
 
-def _block_costs(sq: np.ndarray) -> np.ndarray:
-    # cost[mask] = (1/|mask|) sum of sq[i, j] over unordered pairs i < j in
-    # mask, for each of the 2^m subsets; 0 for the empty one.
-    m = sq.shape[0]
-    members = ((np.arange(1 << m)[:, None] >> np.arange(m)[None, :]) & 1).astype(np.float64)
+def _pair_costs(sq: np.ndarray, members: np.ndarray) -> np.ndarray:
+    # cost of each row's block of the 0/1 membership matrix: (1/|block|)
+    # times the sum of sq[i, j] over unordered pairs i < j in it; 0 if empty.
     pair_sums = 0.5 * np.einsum("si,si->s", members @ sq, members)
     return pair_sums / np.maximum(members.sum(axis=1), 1.0)
 
 
+def _block_costs(sq: np.ndarray) -> np.ndarray:
+    # The cost of each of the 2^m subsets, indexed by bitmask.
+    m = sq.shape[0]
+    members = ((np.arange(1 << m)[:, None] >> np.arange(m)[None, :]) & 1).astype(np.float64)
+    return _pair_costs(sq, members)
+
+
 def partition_cost_sq_dists(sq: np.ndarray, partition: Partition) -> float:
-    """k-means cost from a squared-distance matrix alone.
+    """k-means cost from a symmetric squared-distance matrix with zero diagonal.
 
     J = sum_j (1/|C_j|) sum_{i<i' in C_j} sq[i, i'].  Coincides with the
     coordinate form when sq holds Euclidean squared distances, and defines
     the cost for perturbed metrics that are not Euclidean-realizable.
     """
-    total = 0.0
-    for j in range(partition.k):
-        idx = partition.members(j)
-        if idx.size > 1:
-            block = sq[np.ix_(idx, idx)]
-            total += float(np.sum(block[np.triu_indices(idx.size, 1)])) / idx.size
-    return total
+    members = (partition.assignments == np.arange(partition.k)[:, None]).astype(np.float64)
+    return float(_pair_costs(sq, members).sum())
 
 
 def brute_force_optimum_sq_dists(sq: np.ndarray, k: int) -> tuple[Partition, float]:
@@ -324,6 +344,31 @@ def cost_sandwich_check(
         upper_margin=float(upper_margin),
         quotient=float(quotient),
     )
+
+
+def sandwich_trials(
+    data: Dataset, partitions: list[Partition], n_prime: int, delta: float, trials: int, base_seed: int
+) -> list[SandwichTrial]:
+    """``cost_sandwich_check`` of every partition under projections with seeds base_seed + t.
+
+    The original-space stats are computed once.  Each trial also records
+    whether ``partitions[0]`` is a Lloyd fixed point of the projected data.
+    """
+    if trials < 1:
+        raise DomainError(f"trials must be >= 1, got {trials}")
+    n = data.dim
+    stats_orig = [cluster_stats(data, p) for p in partitions]
+    records = []
+    for seed in range(base_seed, base_seed + trials):
+        projected = project(build_operator(n, n_prime, seed), data)
+        stats = [cluster_stats(projected, p) for p in partitions]
+        results = [cost_sandwich_check(so, sp, n, n_prime, delta) for so, sp in zip(stats_orig, stats)]
+        quotients = [r.quotient for r in results]
+        records.append(SandwichTrial(
+            seed, all(r.passed for r in results), (min(quotients), max(quotients)),
+            (n / n_prime) * stats[0].cost, is_lloyd_fixed_point(projected, partitions[0]),
+        ))
+    return records
 
 
 def var_merge(size1: int, var1: float, mu1: np.ndarray, size2: int, var2: float, mu2: np.ndarray) -> float:

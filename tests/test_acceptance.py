@@ -14,17 +14,18 @@ import pytest
 from jlkit import clusterability as clus
 from jlkit.datagen import MixtureSpec, generate
 from jlkit.dimension import explicit_dimension, gap_delta_bound
-from jlkit.geometry import pairwise_sq_dists
+from jlkit.geometry import estimate_failure_rate
 from jlkit.kmeans import (
     Partition,
     brute_force_optimum,
     cluster_stats,
-    cost_sandwich_check,
     global_optimum_transfer_check,
     is_lloyd_fixed_point,
     lloyd,
     measure_gap,
     pair_balance,
+    random_partition,
+    sandwich_trials,
     var_merge,
 )
 from jlkit.projection import Dataset, build_operator, project
@@ -199,21 +200,11 @@ def test_criterion_3_distortion_figure():
     t0 = time.time()
     n_prime = explicit_dimension(5000, 0.1, 0.2)
     assert n_prime == 2188
-    rng = np.random.default_rng(2024)
-    points = rng.standard_normal((5000, 5000))
-    sq_orig = pairwise_sq_dists(points)
-    seeds, clean, slack_ok = 50, 0, True
-    worst = (1.0, 1.0)
-    for t in range(seeds):
-        op = build_operator(5000, n_prime, seed=1000 + t)
-        proj = points @ op.rows.T
-        quot = (5000.0 / n_prime) * pairwise_sq_dists(proj) / sq_orig
-        lo, hi = float(quot.min()), float(quot.max())
-        worst = (min(worst[0], lo), max(worst[1], hi))
-        if 0.8 <= lo and hi <= 1.2:
-            clean += 1
-        if lo < 0.75 or hi > 1.25:
-            slack_ok = False
+    data = Dataset(points=np.random.default_rng(2024).standard_normal((5000, 5000)))
+    est = estimate_failure_rate(data, n_prime, 0.2, trials=50, base_seed=1000)
+    clean = est.trials - est.failures
+    worst = (min(lo for lo, _ in est.extremes), max(hi for _, hi in est.extremes))
+    slack_ok = 0.75 <= worst[0] and worst[1] <= 1.25
     elapsed = time.time() - t0
     ok = n_prime == 2188 and clean >= 45 and slack_ok and elapsed < 600
     report(
@@ -240,26 +231,9 @@ def test_criterion_4_cost_sandwich():
     assert n_prime < n
     lloyd_part, _ = lloyd(data, 3, init=0)
     rng = np.random.default_rng(4242)
-    partitions = [lloyd_part]
-    for _ in range(100):
-        k = int(rng.integers(2, 6))
-        while True:
-            labels = rng.integers(0, k, size=m)
-            if np.unique(labels).size == k:
-                break
-        partitions.append(Partition(assignments=labels, k=k))
-    orig_costs = [cluster_stats(data, p).cost for p in partitions]
-    passes = 0
-    for t in range(trials):
-        proj = project(build_operator(n, n_prime, seed=5000 + t), data)
-        trial_ok = True
-        for p, j in zip(partitions, orig_costs):
-            adjusted = (n / n_prime) * cluster_stats(proj, p).cost
-            if not ((1 - delta) * j <= adjusted <= (1 + delta) * j):
-                trial_ok = False
-                break
-        passes += trial_ok
-    rate = passes / trials
+    partitions = [lloyd_part] + [random_partition(rng, m, int(rng.integers(2, 6))) for _ in range(100)]
+    records = sandwich_trials(data, partitions, n_prime, delta, trials, base_seed=5000)
+    rate = sum(r.passed for r in records) / trials
     threshold = mc_threshold(eps, trials)
     elapsed = time.time() - t0
     ok = rate >= threshold
@@ -438,17 +412,15 @@ def test_criterion_8_clusterability_transport():
     s_p_sq, nu_sq = 0.9, 0.95
     s_sq = clus.required_mult_perturb_s(s_p_sq, nu_sq, delta)
     assert clus.check_perturbation_robustness(data, 2, math.sqrt(s_sq), trials=50, seed=1)
-    counts = {"sigma": 0, "beta": 0, "deletion": 0, "perturbation": 0}
-    for t in range(seeds):
-        op = build_operator(n, n_prime, seed=3000 + t)
-        projected = project(op, data)
-        sigma_p = clus.measure_sigma_separatedness(projected, 2)
-        part_p, _ = brute_force_optimum(projected, 2)
-        beta_p = clus.measure_centre_stability(projected, part_p)
-        deletion_p = clus.measure_weak_deletion_stability(projected, 2)
-        counts["sigma"] += sigma_p <= sigma / math.sqrt(shrink)
-        counts["beta"] += beta_p >= beta * math.sqrt(shrink)
-        counts["deletion"] += deletion_p >= deletion * shrink
+    records = clus.transport_trials(data, 2, n_prime, seeds, base_seed=3000)
+    counts = {
+        "sigma": sum(r.sigma <= sigma / math.sqrt(shrink) for r in records),
+        "beta": sum(r.beta >= beta * math.sqrt(shrink) for r in records),
+        "deletion": sum(r.deletion_ratio >= deletion * shrink for r in records),
+        "perturbation": 0,
+    }
+    for t, r in enumerate(records):
+        projected = project(build_operator(n, n_prime, seed=r.seed), data)
         counts["perturbation"] += clus.check_perturbation_robustness(
             projected, 2, math.sqrt(s_p_sq), trials=30, seed=100 + t
         )

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from jlkit import kmeans
-from jlkit.cli import _random_partition, main
+from jlkit.cli import main
+from jlkit.geometry import estimate_failure_rate
 from jlkit.projection import Dataset, build_operator, load_dataset, project, save_dataset
 from tests.test_kmeans import shifted_mixture
 
@@ -137,29 +138,13 @@ class TestPipeline:
         assert code == 0
         assert "failure rate: 0/5" in out
         assert "Wilson" in out
+        est = estimate_failure_rate(data, 20, 3.0, 5, 2)
+        lo, hi = min(e[0] for e in est.extremes), max(e[1] for e in est.extremes)
+        assert f"quotient range over trials: [{lo:.6g}, {hi:.6g}]\n" in out
+        assert 0.0 < lo < 1.0 < hi
 
 
 class TestKmeansCompare:
-    def test_harness_runs_and_reports(self, capsys, tmp_path):
-        data_path = str(tmp_path / "data.bin")
-        results = str(tmp_path / "results.csv")
-        run(capsys, "gen", "--k", "2", "--sizes", "20,20", "--dim", "300",
-            "--distance", "12", "--sigma", "1", "--gap", "1", "--seed", "1",
-            "--out", data_path)
-        code, out, _ = run(
-            capsys, "kmeans-compare", "--input", data_path, "--k", "2",
-            "--delta", "0.4", "--nprime", "200", "--trials", "5",
-            "--partitions", "5", "--seed", "0", "--out", results,
-        )
-        assert code == 0
-        assert "sandwich pass rate:" in out
-        assert "fixed-point transfer rate:" in out
-        with open(results, newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["seed", "cost_original", "cost_projected_adjusted",
-                           "lower_bound", "upper_bound", "pass"]
-        assert len(rows) == 6
-
     def test_translated_data_exit_0(self, capsys, tmp_path):
         data_path = str(tmp_path / "shifted.bin")
         save_dataset(shifted_mixture()[0], data_path)
@@ -168,8 +153,7 @@ class TestKmeansCompare:
             "--delta", "0.3", "--nprime", "40", "--trials", "3", "--partitions", "2",
         )
         assert code == 0
-        assert "fixed-point transfer rate:" in out
-
+        assert "sandwich pass rate:" in out and "fixed-point transfer rate:" in out
 
     def _mixture(self, capsys, tmp_path):
         data_path = str(tmp_path / "data.bin")
@@ -191,7 +175,7 @@ class TestKmeansCompare:
         data = load_dataset(data_path)
         lloyd_partition, _ = kmeans.lloyd(data, 2, init=5)
         rng = np.random.default_rng(np.random.SeedSequence(entropy=5, spawn_key=(1,)))
-        partitions = [lloyd_partition] + [_random_partition(rng, data.m, 2) for _ in range(3)]
+        partitions = [lloyd_partition] + [kmeans.random_partition(rng, data.m, 2) for _ in range(3)]
         lloyd_cost = kmeans.cluster_stats(data, lloyd_partition).cost
         lines = ["seed,cost_original,cost_projected_adjusted,lower_bound,upper_bound,pass"]
         for t in range(4):
@@ -259,5 +243,12 @@ class TestClusterability:
         assert "measured: sigma=" in out
         assert "sigma bound satisfied:" in out
         with open(report, newline="") as fh:
-            header = next(csv.reader(fh))
+            header, *rows = csv.reader(fh)
         assert header[0] == "parameter"
+        # Each row holds the worst value over the trials; its flag says all trials met the bound.
+        names = {"sigma_separatedness": "sigma", "centre_stability_beta": "beta",
+                 "weak_deletion_beta": "deletion"}
+        assert [r[0] for r in rows] == list(names)
+        for name, _, _, measured, flag in rows:
+            count = out.split(f"{names[name]} bound satisfied: ")[1].split("/")[0]
+            assert measured and flag == str(count == "3")

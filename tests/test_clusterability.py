@@ -7,17 +7,19 @@ import pytest
 from jlkit.clusterability import (
     ClusterabilityParams,
     TransportReport,
+    TransportTrial,
     check_perturbation_robustness,
     measure_centre_stability,
     measure_sigma_separatedness,
     measure_weak_deletion_stability,
     required_mult_perturb_s,
     transport,
+    transport_trials,
     write_transport_csv,
 )
 from jlkit.errors import DegenerateDataError, DomainError
 from jlkit.kmeans import Partition, brute_force_optimum
-from jlkit.projection import Dataset
+from jlkit.projection import Dataset, build_operator, project
 
 
 def line_dataset(*coords):
@@ -211,6 +213,21 @@ class TestPerturbationRobustness:
             check_perturbation_robustness(
                 Dataset(points=np.arange(26, dtype=float).reshape(13, 2)), 2, 0.9, 5, 0
             )
+
+
+class TestTransportTrials:
+    def test_records_match_direct_measurements(self):
+        rng = np.random.default_rng(4)
+        data = Dataset(points=rng.standard_normal((9, 40)) + np.repeat([[0.0], [4.0], [8.0]], 3, axis=0))
+        records = transport_trials(data, 3, 12, trials=3, base_seed=5)
+        for t, rec in enumerate(records):
+            projected = project(build_operator(40, 12, 5 + t), data)
+            partition, _ = brute_force_optimum(projected, 3)
+            assert rec == TransportTrial(5 + t, measure_sigma_separatedness(projected, 3),
+                                         measure_centre_stability(projected, partition),
+                                         measure_weak_deletion_stability(projected, 3))
+        with pytest.raises(DomainError):
+            transport_trials(data, 3, 12, trials=0, base_seed=5)
 
 
 class TestTransportCsv:

@@ -172,19 +172,19 @@ class TestFailureRate:
         b = estimate_failure_rate(data, 20, 0.3, trials=10, base_seed=11)
         assert a == b
 
-    def test_huge_band_never_fails(self):
-        # Quotient std is ~sqrt(2/n') whatever n/n' is (rows are not
-        # orthogonalized), so the guaranteed-containing diagnostic band
-        # needs delta of a few: [1-3, 1+3] puts the edge 14 sigma out.
-        data = Dataset(points=np.random.default_rng(8).standard_normal((10, 50)))
-        est = estimate_failure_rate(data, 45, 3.0, trials=15, base_seed=0)
-        assert est.failures == 0
-        assert est.wilson_interval[0] == 0.0
-
-    def test_one_dimensional_projection_almost_always_fails(self):
-        data = Dataset(points=np.random.default_rng(9).standard_normal((30, 100)))
-        est = estimate_failure_rate(data, 1, 0.05, trials=20, base_seed=3)
-        assert est.rate >= 0.9
+    # delta = 3 puts the band edge some 15 quotient deviations (~sqrt(2/n')) out.
+    @pytest.mark.parametrize("n_prime, delta, failures", [(50, 3.0, 0), (4, 0.5, 3)])
+    def test_extremes_match_distortion_report(self, n_prime, delta, failures):
+        # Two row blocks, and duplicate rows whose zero-distance pairs are left out.
+        points = np.random.default_rng(10).standard_normal((300, 60))
+        points[[5, 150, 299]] = points[0]
+        data = Dataset(points=points)
+        est = estimate_failure_rate(data, n_prime, delta, trials=3, base_seed=11)
+        assert est.failures == failures and (est.wilson_interval[0] == 0.0) == (failures == 0)
+        for t, extremes in enumerate(est.extremes):
+            op = build_operator(60, n_prime, 11 + t)
+            q = distortion_report(data, project(op, data), delta).quotients
+            assert extremes == (q.min(), q.max())
 
 
 class TestWilson:

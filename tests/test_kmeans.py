@@ -26,7 +26,9 @@ from jlkit.kmeans import (
     measure_gap,
     pair_balance,
     partition_cost_sq_dists,
+    random_partition,
     same_partition,
+    sandwich_trials,
     save_partition,
     var_merge,
     var_merge_clusters,
@@ -489,6 +491,24 @@ class TestCostSandwich:
         shrunk = cluster_stats(Dataset(points=0.5 * data.points), part)
         res = cost_sandwich_check(stats, shrunk, 1, 1, 0.1)
         assert not res.passed
+
+    def test_trials_match_hand_loop(self):
+        rng = np.random.default_rng(13)
+        data = Dataset(points=rng.standard_normal((40, 30)))
+        partitions = [random_partition(rng, 40, k) for k in (2, 3, 4)]
+        records = sandwich_trials(data, partitions, 10, 0.1, trials=6, base_seed=7)
+        for t, rec in enumerate(records):
+            projected = project(build_operator(30, 10, 7 + t), data)
+            stats = [cluster_stats(projected, p) for p in partitions]
+            res = [cost_sandwich_check(cluster_stats(data, p), s, 30, 10, 0.1)
+                   for p, s in zip(partitions, stats)]
+            q = [r.quotient for r in res]
+            fixed = is_lloyd_fixed_point(projected, partitions[0])
+            assert rec == kmeans.SandwichTrial(7 + t, all(r.passed for r in res), (min(q), max(q)),
+                                               3.0 * stats[0].cost, fixed)
+        assert {r.passed for r in records} == {True, False}
+        with pytest.raises(DomainError):
+            sandwich_trials(data, partitions, 10, 0.1, trials=0, base_seed=7)
 
 
 class TestGlobalTransfer:
