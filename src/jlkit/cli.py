@@ -191,10 +191,7 @@ def _cmd_clusterability(args) -> int:
             centre_stability_beta=min(r.beta for r in records),
             weak_deletion_beta=min(r.deletion_ratio for r in records) - 1.0,
         )
-        report = clus.TransportReport(
-            before=before, predicted_after=predicted, delta=args.delta, epsilon=args.epsilon or 0.0,
-            measured_after=worst,
-        )
+        report = clus.TransportReport(before=before, predicted_after=predicted, measured_after=worst)
         clus.write_transport_csv(report, args.out)
         print(f"transport report -> {args.out}")
     return 0

@@ -80,8 +80,6 @@ class ClusterabilityParams:
 class TransportReport:
     before: ClusterabilityParams
     predicted_after: "TransportedParams"
-    delta: float
-    epsilon: float
     measured_after: "TransportedParams | None" = None
 
 

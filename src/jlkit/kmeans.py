@@ -127,19 +127,48 @@ class GlobalTransferResult:
     reverse_margin: float
 
 
+# Blocks whose sum of squared norms exceeds this multiple of the expanded
+# cost are recomputed by direct difference: on random blocks the expansion
+# is within 1e-12 relative of direct difference at a ratio of 1e2, not 1e3.
+_CANCELLATION_RATIO = 100.0
+
+
+def _block_sums(points: np.ndarray, labels: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # The k x m 0/1 block indicator, the block sizes and each block's row
+    # sum (one GEMM); no row is copied.
+    onehot = (labels == np.arange(k)[:, None]).astype(np.float64)
+    return onehot, np.bincount(labels, minlength=k), onehot @ points
+
+
 def cluster_stats(data: Dataset, partition: Partition) -> ClusterStats:
-    """Centroids, sizes, variances and cost of a partition."""
+    """Centroids, sizes, variances and cost of a partition.
+
+    Each block's cost is sum |x|^2 - |sum x|^2 / n, from two passes over
+    the data: a GEMM for the block sums, a matrix-vector product for the
+    squared norms.  A block where that expansion cancels (sum |x|^2 more
+    than 100 times the cost, as for tight clusters far from the origin)
+    is recomputed by direct difference from its centroid, and a block of
+    bitwise-equal rows gets that row as centroid and cost exactly 0
+    (the detect-and-repair scheme of Chan, Golub and LeVeque, 1983).
+    """
     if partition.m != data.m:
         raise ShapeError(f"partition covers {partition.m} points, dataset has {data.m}")
-    k, d = partition.k, data.dim
-    centroids = np.zeros((k, d))
-    sizes = np.zeros(k, dtype=np.int64)
-    variances = np.zeros(k)
-    for j in range(k):
-        members = data.points[partition.members(j)]
-        sizes[j] = members.shape[0]
-        centroids[j] = members.mean(axis=0)
-        variances[j] = np.mean(np.sum((members - centroids[j]) ** 2, axis=1))
+    points, labels = data.points, partition.assignments
+    onehot, sizes, sums = _block_sums(points, labels, partition.k)
+    centroids = sums / sizes[:, None]
+    # Squared norms past the float range make total or costs inf or NaN;
+    # the negated test below repairs those blocks too.
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = onehot @ np.einsum("ij,ij->i", points, points)
+        costs = np.maximum(total - np.einsum("ij,ij->i", sums, centroids), 0.0)
+    for j in np.flatnonzero(~(total <= _CANCELLATION_RATIO * costs)):
+        block = points[labels == j]
+        if np.all(block == block[0]):
+            centroids[j], costs[j] = block[0], 0.0
+        else:
+            diff = block - centroids[j]
+            costs[j] = np.einsum("ij,ij->", diff, diff)
+    variances = costs / sizes
     cost = float(np.dot(sizes, variances))
     return ClusterStats(centroids=centroids, sizes=sizes, variances=variances, cost=cost)
 
@@ -193,10 +222,9 @@ def lloyd(
 
     prev_cost = math.inf
     for _ in range(max_iters):
-        for j in range(k):
-            members = points[assignments == j]
-            if members.size:
-                centroids[j] = members.mean(axis=0)
+        _, sizes, sums = _block_sums(points, assignments, k)
+        filled = sizes > 0
+        centroids[filled] = sums[filled] / sizes[filled, None]
         sq = sq_dists_to(points, centroids)
         cost = float(sq[np.arange(data.m), assignments].sum())
         if cost > prev_cost * (1 + 1e-12) + 1e-12:

@@ -26,6 +26,11 @@ def line_dataset(*coords):
     return Dataset(points=np.array([[float(c)] for c in coords]))
 
 
+# Three copies of each of three rows whose sum of three rounds: every
+# optimal block is one row's copies, so OPT_3 is exactly 0.
+DUPLICATE_TRIPLES = Dataset(points=np.repeat([[0.1, 0.7], [0.3, 0.9], [0.7, 0.1]], 3, axis=0))
+
+
 class TestTransport:
     def test_identity_at_zero_delta(self):
         before = ClusterabilityParams(
@@ -102,9 +107,9 @@ class TestSigmaSeparatedness:
         assert measure_sigma_separatedness(data, 2) == pytest.approx(math.sqrt(1.0 / 101.0), rel=1e-12)
 
     def test_degenerate_opt_zero(self):
-        data = line_dataset(5, 5, 5, 5)
-        with pytest.raises(DegenerateDataError):
-            measure_sigma_separatedness(data, 2)
+        for data, k in ((line_dataset(5, 5, 5, 5), 2), (DUPLICATE_TRIPLES, 4)):
+            with pytest.raises(DegenerateDataError):
+                measure_sigma_separatedness(data, k)
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(0)
@@ -126,6 +131,8 @@ class TestCentreStability:
         data = line_dataset(0, 0, 7, 7)
         part = Partition(assignments=np.array([0, 0, 1, 1]), k=2)
         assert measure_centre_stability(data, part) == np.inf
+        triples = Partition(assignments=np.repeat(np.arange(3), 3), k=3)
+        assert measure_centre_stability(DUPLICATE_TRIPLES, triples) == np.inf
 
     def test_not_stable_when_ratio_below_one(self):
         # Force a partition whose member sits closer to the foreign centroid.
@@ -152,9 +159,9 @@ class TestWeakDeletion:
         assert measure_weak_deletion_stability(data, 2) == pytest.approx(101.0, rel=1e-12)
 
     def test_zero_opt_is_error(self):
-        data = line_dataset(0, 0, 10, 10)
-        with pytest.raises(DegenerateDataError):
-            measure_weak_deletion_stability(data, 2)
+        for data, k in ((line_dataset(0, 0, 10, 10), 2), (DUPLICATE_TRIPLES, 3)):
+            with pytest.raises(DegenerateDataError):
+                measure_weak_deletion_stability(data, k)
 
     def test_three_clusters_takes_cheapest_merge(self):
         # Clusters at 0, 10, 100 with small spread: the cheapest deletion
@@ -236,8 +243,6 @@ class TestTransportCsv:
         report = TransportReport(
             before=before,
             predicted_after=transport(before, 0.1),
-            delta=0.1,
-            epsilon=0.05,
             measured_after=ClusterabilityParams(sigma_separatedness=0.21, centre_stability_beta=1.9),
         )
         path = str(tmp_path / "transport.csv")

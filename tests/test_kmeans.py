@@ -86,6 +86,94 @@ class TestClusterStats:
         assert cost_a == pytest.approx(cost_b, rel=1e-12)
 
 
+def direct_costs(points, labels, k):
+    # Reference: each block's cost by direct difference from its own mean.
+    return np.array([np.sum((points[labels == j] - points[labels == j].mean(axis=0)) ** 2) for j in range(k)])
+
+
+def sum_sq_ratio(points, labels, k):
+    # Each block's sum of squared norms over its cost.
+    totals = np.array([np.sum(points[labels == j] ** 2) for j in range(k)])
+    return totals / direct_costs(points, labels, k)
+
+
+class TestClusterStatsAccuracy:
+    # Per-block costs and variances within 1e-12 of direct difference,
+    # including where the sum-of-squares expansion cancels.
+
+    @staticmethod
+    def check(points, labels, k):
+        stats = cluster_stats(Dataset(points=points), Partition(assignments=labels, k=k))
+        ref = direct_costs(points, labels, k)
+        np.testing.assert_allclose(stats.sizes * stats.variances, ref, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(stats.variances, ref / stats.sizes, rtol=1e-12, atol=0.0)
+        assert stats.cost == pytest.approx(ref.sum(), rel=1e-12)
+        return stats
+
+    @staticmethod
+    def random_labels(rng, m, k):
+        return np.concatenate([np.arange(k), rng.integers(0, k, m - k)])
+
+    def test_random_data(self):
+        rng = np.random.default_rng(10)
+        self.check(rng.standard_normal((300, 20)), self.random_labels(rng, 300, 5), 5)
+
+    def test_translated_by_1e7(self):
+        rng = np.random.default_rng(10)
+        points, labels = rng.standard_normal((300, 20)), self.random_labels(rng, 300, 5)
+        assert np.all(sum_sq_ratio(points + 1e7, labels, 5) > 1e12)
+        self.check(points + 1e7, labels, 5)
+
+    def test_tight_clusters_far_apart(self):
+        # sigma 1e-6 around centres 1e3 apart on a line.
+        rng = np.random.default_rng(11)
+        labels = np.repeat(np.arange(3), 40)
+        centres = np.zeros((3, 6))
+        centres[:, 0] = [0.0, 1e3, 2e3]
+        self.check(centres[labels] + 1e-6 * rng.standard_normal((120, 6)), labels, 3)
+
+    def test_ratio_just_under_the_guard(self):
+        # 50 blocks, each centred and then shifted so that its sum of
+        # squared norms is 99 times its cost: the expansion's own path.
+        rng = np.random.default_rng(12)
+        n, d, k = 8, 10, 50
+        blocks = []
+        for _ in range(k):
+            z = rng.standard_normal((n, d))
+            z -= z.mean(axis=0)
+            direction = rng.standard_normal(d)
+            shift = np.sqrt(98.0 * np.sum(z ** 2) / n) * direction / np.linalg.norm(direction)
+            blocks.append(z + shift)
+        points, labels = np.vstack(blocks), np.repeat(np.arange(k), n)
+        ratio = sum_sq_ratio(points, labels, k)
+        assert np.all((ratio > 98.0) & (ratio < 100.0))
+        self.check(points, labels, k)
+
+    def test_squares_past_the_float_range(self):
+        # Squared norms overflow at 1e160; the deviations do not.
+        rng = np.random.default_rng(14)
+        self.check(1e160 + 1e150 * rng.standard_normal((30, 3)), self.random_labels(rng, 30, 3), 3)
+
+    def test_singletons_cost_exactly_zero(self):
+        rng = np.random.default_rng(13)
+        points = rng.standard_normal((10, 4)) + 1e3
+        labels = np.array([0, 1, 2, 3, 3, 3, 4, 5, 5, 6])
+        stats = self.check(points, labels, 7)
+        singletons = [0, 1, 2, 4, 6]
+        assert np.all(stats.variances[singletons] == 0.0)
+        assert np.array_equal(stats.centroids[singletons], points[[0, 1, 2, 6, 9]])
+
+    def test_duplicate_rows_cost_exactly_zero(self):
+        # Three copies of each row: their sum rounds, so a centroid from
+        # the sum is off the row and the cost is not 0 unless repaired.
+        rows = np.array([[0.1, 0.7], [0.3, 0.9], [0.7, 0.1]])
+        labels = np.repeat(np.arange(3), 3)
+        stats = cluster_stats(Dataset(points=rows[labels]), Partition(assignments=labels, k=3))
+        assert np.array_equal(stats.variances, np.zeros(3))
+        assert stats.cost == 0.0
+        assert np.array_equal(stats.centroids, rows)
+
+
 class TestPartitionValidation:
     def test_empty_cluster_rejected(self):
         with pytest.raises(DomainError):
