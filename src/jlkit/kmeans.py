@@ -260,11 +260,12 @@ def _check_oracle_size(m: int, k: int) -> None:
         raise DomainError(f"S({m}, {k}) = {count} partitions exceeds the cap {PARTITION_CAP}")
 
 
-@functools.cache
+@functools.lru_cache(maxsize=4)
 def _partition_masks(m: int, k: int) -> np.ndarray:
     """All partitions of {0..m-1} into exactly k nonempty blocks.
 
-    A read-only (k, count) array of bitmasks, cached per (m, k): column c
+    A read-only (k, count) array of bitmasks, cached for the four most
+    recent (m, k) (the (14, 3) table alone is 18 MiB): column c
     is partition c in restricted growth string order (lexicographic in the
     assignment vector), row j the block whose smallest member appears j-th.
     The strings grow one element at a time, children in label order.
@@ -294,11 +295,17 @@ def _pair_costs(sq: np.ndarray, members: np.ndarray) -> np.ndarray:
     return pair_sums / np.maximum(members.sum(axis=1), 1.0)
 
 
+@functools.lru_cache(maxsize=4)
+def _subset_members(m: int) -> np.ndarray:
+    # The read-only 2^m x m 0/1 membership table of every subset, by bitmask.
+    members = ((np.arange(1 << m)[:, None] >> np.arange(m)[None, :]) & 1).astype(np.float64)
+    members.flags.writeable = False
+    return members
+
+
 def _block_costs(sq: np.ndarray) -> np.ndarray:
     # The cost of each of the 2^m subsets, indexed by bitmask.
-    m = sq.shape[0]
-    members = ((np.arange(1 << m)[:, None] >> np.arange(m)[None, :]) & 1).astype(np.float64)
-    return _pair_costs(sq, members)
+    return _pair_costs(sq, _subset_members(sq.shape[0]))
 
 
 def partition_cost_sq_dists(sq: np.ndarray, partition: Partition) -> float:
@@ -338,10 +345,30 @@ def brute_force_optimum_sq_dists(sq: np.ndarray, k: int) -> tuple[Partition, flo
     return Partition(assignments=labels, k=k), float(minima[chunk])
 
 
+@functools.lru_cache(maxsize=8)
+def _optimum_labels(sq_bytes: bytes, m: int, k: int) -> np.ndarray:
+    # The optimal labels of one squared-distance matrix, memoised on its
+    # exact bytes, so a hit gives what a fresh enumeration would; read-only.
+    # The memo sits above brute_force_optimum_sq_dists because the perturbed
+    # matrices of check_perturbation_robustness never repeat and would
+    # evict the ones that do.
+    sq = np.frombuffer(sq_bytes).reshape(m, m)
+    labels = brute_force_optimum_sq_dists(sq, k)[0].assignments
+    labels.flags.writeable = False
+    return labels
+
+
 def brute_force_optimum(data: Dataset, k: int) -> tuple[Partition, ClusterStats]:
-    """Global optimum over all partitions of the dataset into k clusters."""
+    """Global optimum over all partitions of the dataset into k clusters.
+
+    The optima of the eight most recent (distance matrix, k) are kept, so
+    the same points measured again (the several measurements of one
+    projection, the original side of repeated transfer checks) are not
+    enumerated again.  Every call returns a fresh partition and stats.
+    """
     _check_oracle_size(data.m, k)
-    partition, _ = brute_force_optimum_sq_dists(sq_dist_matrix(data.points), k)
+    labels = _optimum_labels(sq_dist_matrix(data.points).tobytes(), data.m, k)
+    partition = Partition(assignments=labels.copy(), k=k)
     return partition, cluster_stats(data, partition)
 
 
@@ -498,7 +525,9 @@ def global_optimum_transfer_check(
 
     Forward: (n/n') OPT' <= (1+delta) OPT (a perfect solver in the
     projected space is a constant-factor approximation in the original).
-    Reverse: (n'/n) OPT <= OPT' / (1-delta).
+    Reverse: (n'/n) OPT <= OPT' / (1-delta).  Both optima come from
+    ``brute_force_optimum``, so an original dataset checked against many
+    projections is enumerated once.
     """
     if original.m != projected.m:
         raise ShapeError("datasets differ in point count")

@@ -228,6 +228,25 @@ class TestClusterability:
         assert code == 2
         assert "partitions" in err
 
+    def test_two_oracle_calls_per_projection(self, capsys, tmp_path, oracle_calls):
+        # sigma-separatedness enumerates k and k-1 on the input and on each
+        # projection; the optimum and the deletion ratio reuse those.
+        data_path = str(tmp_path / "fourteen.bin")
+        run(capsys, "gen", "--k", "3", "--sizes", "5,5,4", "--dim", "60",
+            "--distance", "10", "--sigma", "0.5", "--gap", "1", "--seed", "2",
+            "--out", data_path)
+        counts = []
+        for trials in ("1", "3"):
+            kmeans._optimum_labels.cache_clear()
+            oracle_calls[0] = 0
+            code, _, _ = run(
+                capsys, "clusterability", "--input", data_path, "--k", "3",
+                "--delta", "0.3", "--nprime", "40", "--trials", trials, "--seed", "0",
+            )
+            assert code == 0
+            counts.append(oracle_calls[0])
+        assert counts == [2 + 2 * 1, 2 + 2 * 3]
+
     def test_small_instance_report(self, capsys, tmp_path):
         data_path = str(tmp_path / "tiny.bin")
         report = str(tmp_path / "transport.csv")

@@ -17,6 +17,7 @@ from jlkit.clusterability import (
     transport_trials,
     write_transport_csv,
 )
+from jlkit.datagen import MixtureSpec, generate
 from jlkit.errors import DegenerateDataError, DomainError
 from jlkit.kmeans import Partition, brute_force_optimum
 from jlkit.projection import Dataset, build_operator, project
@@ -215,6 +216,22 @@ class TestPerturbationRobustness:
         assert ratio.min() > nu_sq and ratio.max() < 1.0 / nu_sq
         assert check_perturbation_robustness(jitter, 2, s=math.sqrt(s_p_sq), trials=100, seed=6)
 
+    @pytest.mark.parametrize("s_sq, expected", [
+        (0.9, "TTTTTTTTTTTTTTTTTTTT"),
+        (0.01, "TTTFTTFTTTTFFTTTTTFF"),
+    ])
+    def test_projected_mixture_verdicts(self, s_sq, expected):
+        # The 4/4/4 mixture of the oracle-14 benchmark, projected to
+        # n' = 403 with operator seeds 3000-3019, perturbation seeds 100 + t.
+        small, _ = generate(MixtureSpec(k=3, sizes=(4, 4, 4), dim=500, centre_distance=10.0,
+                                        cluster_sigma=0.05, target_gap=1.0, seed=33))
+        verdicts = "".join(
+            "T" if check_perturbation_robustness(project(build_operator(500, 403, 3000 + t), small), 3,
+                                                 math.sqrt(s_sq), trials=30, seed=100 + t) else "F"
+            for t in range(20)
+        )
+        assert verdicts == expected
+
     def test_size_limit(self):
         with pytest.raises(DomainError):
             check_perturbation_robustness(
@@ -235,6 +252,14 @@ class TestTransportTrials:
                                          measure_weak_deletion_stability(projected, 3))
         with pytest.raises(DomainError):
             transport_trials(data, 3, 12, trials=0, base_seed=5)
+
+    def test_two_oracle_calls_per_trial(self, oracle_calls):
+        # sigma-separatedness enumerates k and k-1; the optimum and the
+        # deletion ratio reuse the enumeration at k.
+        rng = np.random.default_rng(4)
+        data = Dataset(points=rng.standard_normal((10, 40)) + np.repeat([[0.0], [4.0], [8.0]], [3, 3, 4], axis=0))
+        transport_trials(data, 3, 12, trials=3, base_seed=5)
+        assert oracle_calls[0] == 2 * 3
 
 
 class TestTransportCsv:

@@ -339,17 +339,30 @@ def exact_optimum(points, k):
     return best
 
 
+def reference_masks(m, k):
+    # One row of block bitmasks per partition, in restricted growth order.
+    return np.array([
+        [sum(1 << i for i, a in enumerate(labels) if a == j) for j in range(k)]
+        for labels in partitions_into(m, k)
+    ])
+
+
 class TestPartitionMasks:
     @pytest.mark.parametrize("m", range(1, 10))
     def test_matches_restricted_growth_reference(self, m):
         for k in range(1, m + 1):
-            expected = np.array([
-                [sum(1 << i for i, a in enumerate(labels) if a == j) for j in range(k)]
-                for labels in partitions_into(m, k)
-            ])
             masks = kmeans._partition_masks(m, k)
             assert masks.shape == (k, stirling2(m, k))
-            assert np.array_equal(masks.T, expected)
+            assert np.array_equal(masks.T, reference_masks(m, k))
+
+    def test_cache_holds_at_most_four_tables(self):
+        kmeans._partition_masks.cache_clear()
+        pairs = [(5, 2), (6, 3), (7, 2), (7, 4), (8, 3)]
+        for m, k in pairs:
+            kmeans._partition_masks(m, k)
+        assert kmeans._partition_masks.cache_info().currsize <= 4
+        for m, k in pairs:
+            assert np.array_equal(kmeans._partition_masks(m, k).T, reference_masks(m, k))
 
 
 # Integer coordinates in the tied cases: every pair sum is exact, so tied
@@ -422,6 +435,46 @@ class TestOracleLimits:
         for m, k in admitted:
             kmeans._check_oracle_size(m, k)
             assert stirling2(m, k) <= kmeans.PARTITION_CAP
+
+
+class TestOracleMemo:
+    def test_mutated_result_leaves_next_call_unchanged(self, oracle_calls):
+        data = Dataset(points=np.random.default_rng(9).standard_normal((9, 4)))
+        part, stats = brute_force_optimum(data, 3)
+        labels, centroids = part.assignments.copy(), stats.centroids.copy()
+        part.assignments[:] = 0
+        stats.centroids[:] = 0.0
+        again, again_stats = brute_force_optimum(data, 3)
+        assert oracle_calls[0] == 1
+        assert np.array_equal(again.assignments, labels)
+        assert np.array_equal(again_stats.centroids, centroids)
+
+    def test_one_ulp_apart_matches_uncached(self, oracle_calls):
+        # The unit square's two splits tie; lengthening one horizontal side
+        # by one ulp makes the vertical split the only optimum.
+        square = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        nudged = square.copy()
+        nudged[1, 0] = np.nextafter(1.0, 2.0)
+        assert np.array_equal(brute_force_optimum(Dataset(points=square), 2)[0].assignments, [0, 0, 1, 1])
+        part, stats = brute_force_optimum(Dataset(points=nudged), 2)
+        assert oracle_calls[0] == 2
+        expected, _ = brute_force_optimum_sq_dists(sq_dist_matrix(nudged), 2)
+        assert np.array_equal(part.assignments, [0, 1, 0, 1])
+        assert np.array_equal(part.assignments, expected.assignments)
+        assert stats.cost == cluster_stats(Dataset(points=nudged), expected).cost
+
+    def test_transfer_check_enumerates_the_original_once(self, oracle_calls):
+        rng = np.random.default_rng(13)
+        data = Dataset(points=rng.standard_normal((10, 30)))
+        for seed in range(5):
+            global_optimum_transfer_check(data, project(build_operator(30, 20, seed), data), 3, 0.5)
+        assert oracle_calls[0] == 1 + 5
+
+    def test_subset_table_is_shared_and_read_only(self):
+        members = kmeans._subset_members(5)
+        assert kmeans._subset_members(5) is members
+        assert not members.flags.writeable
+        assert members.shape == (32, 5)
 
 
 class TestVarMerge:
