@@ -26,15 +26,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import kmeans
 from .errors import DegenerateDataError, DomainError
 from .geometry import sq_dist_matrix, sq_dists_to
-from .kmeans import (
-    Partition,
-    brute_force_optimum,
-    brute_force_optimum_sq_dists,
-    cluster_stats,
-    same_partition,
-)
+from .kmeans import Partition, brute_force_optimum, cluster_stats
 from .projection import Dataset, build_operator, project
 
 __all__ = [
@@ -235,8 +230,16 @@ def check_perturbation_robustness(
     the exact optimum under each perturbed metric (using the
     distance-matrix cost, since perturbed distances need not embed in
     Euclidean space).  Returns True when every trial reproduces the
-    unperturbed optimal partition up to relabeling -- evidence for
-    robustness, not a proof.
+    unperturbed optimal partition up to relabeling.
+
+    Every perturbed squared distance lies within [s^2, 1/s^2] of its
+    original, and so does every partition's cost.  A partition costing
+    more than 1/s^4 times the optimum therefore costs more than the
+    optimum under every perturbation: only the rest, the rivals, are
+    costed per trial, from one enumeration of the unperturbed instance.
+    When the optimum is its own only rival, True is a proof of
+    robustness and no factors are drawn; otherwise it is evidence, not
+    a proof.
     """
     if not 0.0 < s < 1.0:
         raise DomainError(f"s must lie in (0, 1), got {s}")
@@ -245,7 +248,19 @@ def check_perturbation_robustness(
     if data.m > 12:
         raise DomainError("perturbation check limited to m <= 12")
     sq = sq_dist_matrix(data.points)
-    reference, _ = brute_force_optimum_sq_dists(sq, k)
+    _, best = kmeans.brute_force_optimum_sq_dists(sq, k)
+    masks = kmeans._partition_masks(data.m, k)
+    block_cost = kmeans._block_costs(sq)
+    # Every cost term is non-negative, so rounding stays near m eps of the
+    # exact costs, far inside the 1e-9 slack.
+    near = [start + np.flatnonzero(s**4 * costs <= (1.0 + 1e-9) * best)
+            for start, costs in kmeans._chunk_costs(block_cost, masks)]
+    rivals = masks[:, np.concatenate(near)]
+    if rivals.shape[1] <= 1:
+        return True
+    # Rivals keep the enumeration order, so the first perturbed minimum
+    # among them is the first overall, as a full enumeration finds it.
+    reference = kmeans._first_minimum(block_cost, rivals)[0]
     rng = np.random.default_rng(seed)
     m = data.m
     iu = np.triu_indices(m, 1)
@@ -255,8 +270,7 @@ def check_perturbation_robustness(
         factors[iu] = draw
         factors[(iu[1], iu[0])] = draw
         perturbed_sq = sq * factors**2  # factors act on distances, costs use squares
-        candidate, _ = brute_force_optimum_sq_dists(perturbed_sq, k)
-        if not same_partition(reference, candidate):
+        if kmeans._first_minimum(kmeans._block_costs(perturbed_sq), rivals)[0] != reference:
             return False
     return True
 

@@ -133,11 +133,25 @@ class GlobalTransferResult:
 _CANCELLATION_RATIO = 100.0
 
 
-def _block_sums(points: np.ndarray, labels: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # The k x m 0/1 block indicator, the block sizes and each block's row
-    # sum (one GEMM); no row is copied.
-    onehot = (labels == np.arange(k)[:, None]).astype(np.float64)
-    return onehot, np.bincount(labels, minlength=k), onehot @ points
+# Most entries of the k x m block indicator built at once (16 MiB).
+_INDICATOR_ENTRIES = 1 << 21
+
+
+def _block_sums(labels: np.ndarray, k: int, *values: np.ndarray) -> list[np.ndarray]:
+    # Each block's sum of the rows of every array in values: the k x m 0/1
+    # block indicator times that array, one GEMM each; no row is copied.
+    # The indicator is built _INDICATOR_ENTRIES // k rows at a time and the
+    # chunks' products added; when all rows fit in one chunk, that is one
+    # GEMM per array over the whole indicator.
+    step = max(1, _INDICATOR_ENTRIES // k)
+    sums = None
+    for start in range(0, labels.size, step):
+        rows = slice(start, start + step)
+        onehot = (labels[rows] == np.arange(k)[:, None]).astype(np.float64)
+        chunk = [onehot @ v[rows] for v in values]
+        del onehot  # freed before the next chunk's is built
+        sums = chunk if sums is None else [a + b for a, b in zip(sums, chunk)]
+    return sums
 
 
 def cluster_stats(data: Dataset, partition: Partition) -> ClusterStats:
@@ -154,12 +168,12 @@ def cluster_stats(data: Dataset, partition: Partition) -> ClusterStats:
     if partition.m != data.m:
         raise ShapeError(f"partition covers {partition.m} points, dataset has {data.m}")
     points, labels = data.points, partition.assignments
-    onehot, sizes, sums = _block_sums(points, labels, partition.k)
-    centroids = sums / sizes[:, None]
+    sizes = np.bincount(labels, minlength=partition.k)
     # Squared norms past the float range make total or costs inf or NaN;
     # the negated test below repairs those blocks too.
     with np.errstate(over="ignore", invalid="ignore"):
-        total = onehot @ np.einsum("ij,ij->i", points, points)
+        sums, total = _block_sums(labels, partition.k, points, np.einsum("ij,ij->i", points, points))
+        centroids = sums / sizes[:, None]
         costs = np.maximum(total - np.einsum("ij,ij->i", sums, centroids), 0.0)
     for j in np.flatnonzero(~(total <= _CANCELLATION_RATIO * costs)):
         block = points[labels == j]
@@ -222,7 +236,8 @@ def lloyd(
 
     prev_cost = math.inf
     for _ in range(max_iters):
-        _, sizes, sums = _block_sums(points, assignments, k)
+        sizes = np.bincount(assignments, minlength=k)
+        sums = _block_sums(assignments, k, points)[0]
         filled = sizes > 0
         centroids[filled] = sums[filled] / sizes[filled, None]
         sq = sq_dists_to(points, centroids)
@@ -288,11 +303,11 @@ def _partition_masks(m: int, k: int) -> np.ndarray:
     return masks
 
 
-def _pair_costs(sq: np.ndarray, members: np.ndarray) -> np.ndarray:
-    # cost of each row's block of the 0/1 membership matrix: (1/|block|)
-    # times the sum of sq[i, j] over unordered pairs i < j in it; 0 if empty.
-    pair_sums = 0.5 * np.einsum("si,si->s", members @ sq, members)
-    return pair_sums / np.maximum(members.sum(axis=1), 1.0)
+def _pair_costs(sq: np.ndarray, members: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    # cost of each row's block of the 0/1 membership matrix: (1/size) times
+    # the sum of sq[i, j] over unordered pairs i < j in it; sizes are the
+    # row sums, at least 1 (an empty block costs 0 either way).
+    return 0.5 * np.einsum("si,si->s", members @ sq, members) / sizes
 
 
 @functools.lru_cache(maxsize=4)
@@ -303,9 +318,42 @@ def _subset_members(m: int) -> np.ndarray:
     return members
 
 
+@functools.lru_cache(maxsize=4)
+def _subset_sizes(m: int) -> np.ndarray:
+    # The read-only size of every subset, by bitmask; 1 for the empty set.
+    sizes = np.maximum(_subset_members(m).sum(axis=1), 1.0)
+    sizes.flags.writeable = False
+    return sizes
+
+
 def _block_costs(sq: np.ndarray) -> np.ndarray:
     # The cost of each of the 2^m subsets, indexed by bitmask.
-    return _pair_costs(sq, _subset_members(sq.shape[0]))
+    m = sq.shape[0]
+    return _pair_costs(sq, _subset_members(m), _subset_sizes(m))
+
+
+def _chunk_costs(block_cost: np.ndarray, masks: np.ndarray):
+    # (first column, costs) for each chunk of the partitions in masks, in
+    # chunks whose temporaries stay in cache.  Each cost is summed block by
+    # block: the order of numpy's row sum for k <= 7.
+    for start in range(0, masks.shape[1], _COST_CHUNK):
+        chunk = masks[:, start:start + _COST_CHUNK]
+        costs = block_cost[chunk[0]]
+        for row in chunk[1:]:
+            costs += block_cost[row]
+        yield start, costs
+
+
+def _first_minimum(block_cost: np.ndarray, masks: np.ndarray) -> tuple[int, float]:
+    # Column and cost of the first cheapest partition of masks.  The first
+    # minimum of the chunk minima is the first minimum overall.
+    firsts, minima = [], []
+    for start, costs in _chunk_costs(block_cost, masks):
+        i = int(np.argmin(costs))
+        firsts.append(start + i)
+        minima.append(costs[i])
+    chunk = int(np.argmin(minima))
+    return firsts[chunk], float(minima[chunk])
 
 
 def partition_cost_sq_dists(sq: np.ndarray, partition: Partition) -> float:
@@ -316,7 +364,7 @@ def partition_cost_sq_dists(sq: np.ndarray, partition: Partition) -> float:
     the cost for perturbed metrics that are not Euclidean-realizable.
     """
     members = (partition.assignments == np.arange(partition.k)[:, None]).astype(np.float64)
-    return float(_pair_costs(sq, members).sum())
+    return float(_pair_costs(sq, members, members.sum(axis=1)).sum())
 
 
 def brute_force_optimum_sq_dists(sq: np.ndarray, k: int) -> tuple[Partition, float]:
@@ -328,30 +376,18 @@ def brute_force_optimum_sq_dists(sq: np.ndarray, k: int) -> tuple[Partition, flo
     m = sq.shape[0]
     _check_oracle_size(m, k)
     masks = _partition_masks(m, k)
-    block_cost = _block_costs(sq)
-    # Costs summed block by block, the order of numpy's row sum for k <= 7,
-    # in chunks whose temporaries stay in cache.  The first minimum of the
-    # chunk minima is the first minimum overall: the lexicographically first.
-    firsts, minima = [], []
-    for start in range(0, masks.shape[1], _COST_CHUNK):
-        costs = block_cost[masks[0, start:start + _COST_CHUNK]]
-        for j in range(1, k):
-            costs += block_cost[masks[j, start:start + _COST_CHUNK]]
-        i = int(np.argmin(costs))
-        firsts.append(start + i)
-        minima.append(costs[i])
-    chunk = int(np.argmin(minima))
-    labels = np.argmax((masks[:, firsts[chunk], None] >> np.arange(m)) & 1, axis=0)
-    return Partition(assignments=labels, k=k), float(minima[chunk])
+    first, cost = _first_minimum(_block_costs(sq), masks)
+    labels = np.argmax((masks[:, first, None] >> np.arange(m)) & 1, axis=0)
+    return Partition(assignments=labels, k=k), cost
 
 
 @functools.lru_cache(maxsize=8)
 def _optimum_labels(sq_bytes: bytes, m: int, k: int) -> np.ndarray:
     # The optimal labels of one squared-distance matrix, memoised on its
     # exact bytes, so a hit gives what a fresh enumeration would; read-only.
-    # The memo sits above brute_force_optimum_sq_dists because the perturbed
-    # matrices of check_perturbation_robustness never repeat and would
-    # evict the ones that do.
+    # The memo sits above brute_force_optimum_sq_dists, so each call of that
+    # is one enumeration.  Its other caller, check_perturbation_robustness,
+    # enumerates its instance once and costs the perturbed metrics itself.
     sq = np.frombuffer(sq_bytes).reshape(m, m)
     labels = brute_force_optimum_sq_dists(sq, k)[0].assignments
     labels.flags.writeable = False

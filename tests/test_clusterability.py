@@ -19,7 +19,8 @@ from jlkit.clusterability import (
 )
 from jlkit.datagen import MixtureSpec, generate
 from jlkit.errors import DegenerateDataError, DomainError
-from jlkit.kmeans import Partition, brute_force_optimum
+from jlkit.geometry import sq_dist_matrix
+from jlkit.kmeans import Partition, brute_force_optimum, brute_force_optimum_sq_dists, same_partition
 from jlkit.projection import Dataset, build_operator, project
 
 
@@ -176,6 +177,23 @@ class TestWeakDeletion:
         assert ratio == pytest.approx(merged_cost / opt, rel=1e-9)
 
 
+def enumerate_every_trial(data, k, s, trials, seed):
+    # The perturbation check as one full enumeration per perturbed metric.
+    sq = sq_dist_matrix(data.points)
+    reference, _ = brute_force_optimum_sq_dists(sq, k)
+    rng = np.random.default_rng(seed)
+    iu = np.triu_indices(data.m, 1)
+    for _ in range(trials):
+        factors = np.ones((data.m, data.m))
+        draw = rng.uniform(s, 1.0 / s, size=iu[0].size)
+        factors[iu] = draw
+        factors[(iu[1], iu[0])] = draw
+        candidate, _ = brute_force_optimum_sq_dists(sq * factors**2, k)
+        if not same_partition(reference, candidate):
+            return False
+    return True
+
+
 class TestPerturbationRobustness:
     def test_tight_band_always_true(self):
         data = line_dataset(0, 1, 10, 11)
@@ -231,6 +249,32 @@ class TestPerturbationRobustness:
             for t in range(20)
         )
         assert verdicts == expected
+
+    def test_matches_enumerating_every_trial(self):
+        rng = np.random.default_rng(17)
+        instances = [(line_dataset(0, 1, 1.9, 2.9), 2),
+                     (line_dataset(0, 0, 0, 5, 5, 9), 3)]  # duplicates: optimum costs exactly 0
+        for _ in range(12):
+            m, k = int(rng.integers(4, 11)), int(rng.integers(2, 5))
+            centres = rng.uniform(0.0, 6.0, size=(k, 2))
+            instances.append((Dataset(points=centres[np.arange(m) % k] + rng.standard_normal((m, 2))), k))
+        assert brute_force_optimum_sq_dists(sq_dist_matrix(instances[1][0].points), 3)[1] == 0.0
+        verdicts = {}
+        for s in (0.999, 0.95, 0.7, 0.5, 0.1):
+            for i, (data, k) in enumerate(instances):
+                verdicts[s, i] = enumerate_every_trial(data, k, s, trials=30, seed=i)
+                assert check_perturbation_robustness(data, k, s, trials=30, seed=i) == verdicts[s, i]
+        assert verdicts[0.5, 0] is False and verdicts[0.1, 1] is True
+        assert sum(verdicts.values()) not in (0, len(verdicts))
+
+    def test_one_enumeration_per_call(self, oracle_calls):
+        small, _ = generate(MixtureSpec(k=3, sizes=(4, 4, 4), dim=500, centre_distance=10.0,
+                                        cluster_sigma=0.05, target_gap=1.0, seed=33))
+        for t, expected in ((0, True), (3, False)):  # the s^2 = 0.01 verdicts below
+            oracle_calls[0] = 0
+            data = project(build_operator(500, 403, 3000 + t), small)
+            assert check_perturbation_robustness(data, 3, 0.1, trials=30, seed=100 + t) is expected
+            assert oracle_calls[0] == 1
 
     def test_size_limit(self):
         with pytest.raises(DomainError):

@@ -173,6 +173,33 @@ class TestClusterStatsAccuracy:
         assert stats.cost == 0.0
         assert np.array_equal(stats.centroids, rows)
 
+    @pytest.mark.parametrize("entries", [5, 64, 1000])
+    def test_chunked_indicator(self, monkeypatch, entries):
+        # At most `entries` indicator entries at once: 1, 12 and 200 of
+        # the 300 rows a chunk for k = 5.
+        monkeypatch.setattr(kmeans, "_INDICATOR_ENTRIES", entries)
+        rng = np.random.default_rng(15)
+        points, labels = rng.standard_normal((300, 20)), self.random_labels(rng, 300, 5)
+        self.check(points, labels, 5)
+        self.check(points + 1e7, labels, 5)
+
+    def test_indicator_memory_is_bounded(self):
+        # A dense 50 x 200,000 float64 indicator alone would take 76 MiB
+        # for 3 MiB of points.
+        rng = np.random.default_rng(16)
+        points, labels = rng.standard_normal((200_000, 2)), self.random_labels(rng, 200_000, 50)
+        data, partition = Dataset(points=points), Partition(assignments=labels, k=50)
+        tracemalloc.start()
+        try:
+            stats = cluster_stats(data, partition)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 << 20
+        ref = direct_costs(points, labels, 50)
+        np.testing.assert_allclose(stats.sizes * stats.variances, ref, rtol=1e-12, atol=0.0)
+        assert stats.cost == pytest.approx(ref.sum(), rel=1e-12)
+
 
 class TestPartitionValidation:
     def test_empty_cluster_rejected(self):
@@ -475,6 +502,13 @@ class TestOracleMemo:
         assert kmeans._subset_members(5) is members
         assert not members.flags.writeable
         assert members.shape == (32, 5)
+
+    def test_block_costs_match_sizes_summed_per_call(self):
+        for m in range(1, 13):
+            sq = sq_dist_matrix(np.random.default_rng(m).standard_normal((m, 3)))
+            members = kmeans._subset_members(m)
+            expected = 0.5 * np.einsum("si,si->s", members @ sq, members) / np.maximum(members.sum(axis=1), 1.0)
+            assert kmeans._block_costs(sq).tobytes() == expected.tobytes()
 
 
 class TestVarMerge:
