@@ -5,17 +5,11 @@ clusterability.  Every command prints its resolved configuration
 (including seeds) before computing, so any output can be regenerated.
 Exit codes: 0 success, 1 I/O error, 2 validation error.
 
-Set JLKIT_THREADS to pin the BLAS thread count; it must be honored
-before numpy loads, which is why it is applied at import time here.
+The BLAS thread count is the BLAS library's own: set
+OPENBLAS_NUM_THREADS or OMP_NUM_THREADS before starting jlkit.
 """
 
 from __future__ import annotations
-
-import os
-
-if "JLKIT_THREADS" in os.environ:
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", os.environ["JLKIT_THREADS"])
-    os.environ.setdefault("OMP_NUM_THREADS", os.environ["JLKIT_THREADS"])
 
 import argparse
 import csv
@@ -88,7 +82,7 @@ def _cmd_gen(args) -> int:
     save_dataset(data, args.out, fmt=args.format)
     print(f"dataset: {data.m} x {data.dim} -> {args.out}")
     if args.partition_out:
-        kmeans.save_partition(partition, data.ids, args.partition_out)
+        kmeans.save_partition(partition, args.partition_out)
         print(f"partition -> {args.partition_out}")
     gap = kmeans.measure_gap(data, partition).g if args.k > 1 else 2.0
     print(f"measured gap: {gap:.4f}")

@@ -255,7 +255,9 @@ def check_perturbation_robustness(
     # exact costs, far inside the 1e-9 slack.
     near = [start + np.flatnonzero(s**4 * costs <= (1.0 + 1e-9) * best)
             for start, costs in kmeans._chunk_costs(block_cost, masks)]
-    rivals = masks[:, np.concatenate(near)]
+    keep = np.concatenate(near)
+    # Every partition a rival: use the cached table, not a copy (60.6 MiB at (12, 6)).
+    rivals = masks if keep.size == masks.shape[1] else masks[:, keep]
     if rivals.shape[1] <= 1:
         return True
     # Rivals keep the enumeration order, so the first perturbed minimum

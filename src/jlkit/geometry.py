@@ -198,8 +198,6 @@ def distortion_report(original: Dataset, projected: Dataset, delta: float) -> Di
     """
     if original.m != projected.m:
         raise ShapeError(f"point counts differ: {original.m} vs {projected.m}")
-    if original.ids != projected.ids:
-        raise ShapeError("dataset ids do not match between original and projected data")
     if projected.dim > original.dim:
         raise ShapeError(f"projected dimension {projected.dim} exceeds original {original.dim}")
     if not 0.0 < delta:
@@ -265,13 +263,14 @@ def estimate_failure_rate(
     )
 
 
-def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054) -> tuple[float, float]:
-    """95% Wilson score interval; well-behaved at small trial counts."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """95% Wilson score interval of successes/trials; well-behaved at small trial counts."""
     if trials < 1:
         raise DomainError("trials must be >= 1")
     if not 0 <= successes <= trials:
         raise DomainError("successes must lie in [0, trials]")
     p = successes / trials
+    z = 1.959963984540054  # the standard normal quantile of a two-sided 95% interval
     z2 = z * z
     centre = (p + z2 / (2 * trials)) / (1 + z2 / trials)
     half = z * math.sqrt(p * (1 - p) / trials + z2 / (4 * trials * trials)) / (1 + z2 / trials)
@@ -279,15 +278,12 @@ def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054) -
     return (min(p, max(0.0, centre - half)), max(p, min(1.0, centre + half)))
 
 
-def export_histogram(report: DistortionReport, path: str, bin_width: float | None = None) -> None:
+def export_histogram(report: DistortionReport, path: str) -> None:
     """Write the quotient histogram as CSV rows (bin_lo, bin_hi, count).
 
-    The default bin width is delta/20 where delta is implied by the band.
+    The bins are delta/20 wide, delta being the band's half-width.
     """
-    delta = (report.band[1] - report.band[0]) / 2.0
-    width = bin_width if bin_width is not None else delta / 20.0
-    if width <= 0:
-        raise DomainError(f"bin width must be positive, got {width}")
+    width = (report.band[1] - report.band[0]) / 2.0 / 20.0
     q = report.quotients
     lo = math.floor(q.min() / width) * width if q.size else 0.0
     hi = math.ceil(q.max() / width) * width if q.size else width

@@ -50,6 +50,7 @@ __all__ = [
 ]
 
 BRUTE_FORCE_MAX_POINTS = 14
+LLOYD_MAX_ITERS = 300
 
 
 @dataclass
@@ -205,18 +206,13 @@ def _repair_empty(sq: np.ndarray, assignments: np.ndarray, k: int) -> np.ndarray
     return assignments
 
 
-def lloyd(
-    data: Dataset,
-    k: int,
-    init: Partition | int | None = None,
-    max_iters: int = 300,
-) -> tuple[Partition, ClusterStats]:
-    """Lloyd iteration until assignments stabilize or max_iters.
+def lloyd(data: Dataset, k: int, init: Partition | int = 0) -> tuple[Partition, ClusterStats]:
+    """Lloyd iteration until assignments stabilize or LLOYD_MAX_ITERS steps.
 
-    ``init`` is either a Partition, an integer seed for plain uniform
-    seeding (k distinct data points as starting centroids), or None for
-    seed 0.  Cost is checked to be non-increasing at every step; a rise
-    raises NumericalError.
+    ``init`` is either a Partition or an integer seed for plain uniform
+    seeding (k distinct data points as starting centroids).  Cost is
+    checked to be non-increasing at every step; a rise raises
+    NumericalError.
     """
     if k > data.m:
         raise DomainError(f"k={k} exceeds number of points m={data.m}")
@@ -229,13 +225,13 @@ def lloyd(
         assignments = init.assignments.copy()
         centroids = cluster_stats(data, init).centroids
     else:
-        rng = np.random.default_rng(0 if init is None else init)
+        rng = np.random.default_rng(init)
         centroids = points[rng.choice(data.m, size=k, replace=False)].copy()
         sq = sq_dists_to(points, centroids)
         assignments = _repair_empty(sq, np.argmin(sq, axis=1), k)
 
     prev_cost = math.inf
-    for _ in range(max_iters):
+    for _ in range(LLOYD_MAX_ITERS):
         sizes = np.bincount(assignments, minlength=k)
         sums = _block_sums(assignments, k, points)[0]
         filled = sizes > 0
@@ -311,25 +307,18 @@ def _pair_costs(sq: np.ndarray, members: np.ndarray, sizes: np.ndarray) -> np.nd
 
 
 @functools.lru_cache(maxsize=4)
-def _subset_members(m: int) -> np.ndarray:
-    # The read-only 2^m x m 0/1 membership table of every subset, by bitmask.
+def _subset_table(m: int) -> tuple[np.ndarray, np.ndarray]:
+    # Read-only, by bitmask: the 2^m x m 0/1 membership table of every
+    # subset and every subset's size, 1 for the empty set.
     members = ((np.arange(1 << m)[:, None] >> np.arange(m)[None, :]) & 1).astype(np.float64)
-    members.flags.writeable = False
-    return members
-
-
-@functools.lru_cache(maxsize=4)
-def _subset_sizes(m: int) -> np.ndarray:
-    # The read-only size of every subset, by bitmask; 1 for the empty set.
-    sizes = np.maximum(_subset_members(m).sum(axis=1), 1.0)
-    sizes.flags.writeable = False
-    return sizes
+    sizes = np.maximum(members.sum(axis=1), 1.0)
+    members.flags.writeable = sizes.flags.writeable = False
+    return members, sizes
 
 
 def _block_costs(sq: np.ndarray) -> np.ndarray:
     # The cost of each of the 2^m subsets, indexed by bitmask.
-    m = sq.shape[0]
-    return _pair_costs(sq, _subset_members(m), _subset_sizes(m))
+    return _pair_costs(sq, *_subset_table(sq.shape[0]))
 
 
 def _chunk_costs(block_cost: np.ndarray, masks: np.ndarray):
@@ -595,19 +584,16 @@ def same_partition(a: Partition, b: Partition) -> bool:
     return a.k == b.k and np.array_equal(canonical_labels(a.assignments), canonical_labels(b.assignments))
 
 
-def save_partition(partition: Partition, ids: list[str], path: str) -> None:
-    """Write CSV rows (id, cluster)."""
-    if len(ids) != partition.m:
-        raise ShapeError(f"{len(ids)} ids for {partition.m} assignments")
+def save_partition(partition: Partition, path: str) -> None:
+    """Write CSV rows (id, cluster), the id being the point's row index."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["id", "cluster"])
-        for pid, label in zip(ids, partition.assignments):
-            writer.writerow([pid, int(label)])
+        writer.writerows(enumerate(partition.assignments.tolist()))
 
 
-def load_partition(path: str, ids: list[str]) -> Partition:
-    """Read a (id, cluster) CSV and align it to the given id order."""
+def load_partition(path: str, m: int) -> Partition:
+    """Read an (id, cluster) CSV into the labels of rows 0..m-1, the id being the row index."""
     table: dict[str, int] = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -616,8 +602,8 @@ def load_partition(path: str, ids: list[str]) -> Partition:
             raise ShapeError(f"unexpected partition header {header!r}")
         for row in reader:
             table[row[0]] = int(row[1])
-    missing = [pid for pid in ids if pid not in table]
+    missing = [i for i in range(m) if str(i) not in table]
     if missing:
-        raise ShapeError(f"partition file lacks ids {missing[:5]}{'...' if len(missing) > 5 else ''}")
-    labels = np.array([table[pid] for pid in ids], dtype=np.int64)
+        raise ShapeError(f"partition file lacks rows {missing[:5]}{'...' if len(missing) > 5 else ''}")
+    labels = np.array([table[str(i)] for i in range(m)], dtype=np.int64)
     return Partition(assignments=labels, k=int(labels.max()) + 1)

@@ -14,7 +14,7 @@ import json
 import os
 import stat
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,10 +42,9 @@ _OPERATOR_STREAM = 0x6F70
 
 @dataclass
 class Dataset:
-    """An m x d matrix of points with per-point identifiers."""
+    """An m x d matrix of points; a point is named by its row index."""
 
     points: np.ndarray
-    ids: list[str] = field(default_factory=list)
 
     def __post_init__(self):
         self.points = np.ascontiguousarray(self.points, dtype=np.float64)
@@ -53,10 +52,6 @@ class Dataset:
             raise ShapeError(f"points must be a non-empty 2-D array, got shape {self.points.shape}")
         if not np.all(np.isfinite(self.points)):
             raise DomainError("dataset contains non-finite entries")
-        if not self.ids:
-            self.ids = [str(i) for i in range(self.points.shape[0])]
-        if len(self.ids) != self.points.shape[0]:
-            raise ShapeError(f"{len(self.ids)} ids for {self.points.shape[0]} points")
 
     @property
     def m(self) -> int:
@@ -112,18 +107,18 @@ def build_operator(n: int, n_prime: int, seed: int, orthonormalize: bool = False
 
 
 def project(op: ProjectionOperator, data: Dataset) -> Dataset:
-    """Apply x -> Mx to every point; ids are preserved, coordinates unscaled."""
+    """Apply x -> Mx to every point; row order is kept, coordinates unscaled."""
     if data.dim != op.n:
         raise ShapeError(f"dataset dimension {data.dim} != operator source dimension {op.n}")
-    return Dataset(points=data.points @ op.rows.T, ids=list(data.ids))
+    return Dataset(points=data.points @ op.rows.T)
 
 
 def save_dataset(data: Dataset, path: str, fmt: str = "binary") -> None:
     """Write a dataset as CSV (one point per row) or the bit-exact binary format.
 
     Binary layout: 16-byte magic+version, two little-endian uint64 (m, d),
-    then m*d little-endian float64 values row-major.  The binary format
-    does not carry ids; they reload as row indices.
+    then m*d little-endian float64 values row-major.  Neither format
+    names its points: a point is its row.
     """
     if fmt == "binary":
         with open(path, "wb") as fh:

@@ -98,6 +98,17 @@ class TestPipeline:
         with open(hist_path, newline="") as fh:
             assert next(csv.reader(fh)) == ["bin_lo", "bin_hi", "count"]
 
+    def test_gen_partition_out_bytes(self, capsys, tmp_path):
+        # The id column is the point's row index in the dataset file.
+        part_path = tmp_path / "part.csv"
+        code, _, _ = run(
+            capsys, "gen", "--k", "3", "--sizes", "3,2,2", "--dim", "5", "--seed", "1",
+            "--out", str(tmp_path / "data.bin"), "--partition-out", str(part_path),
+        )
+        assert code == 0
+        assert part_path.read_bytes() == b"id,cluster\r\n0,0\r\n1,0\r\n2,0\r\n3,1\r\n4,1\r\n5,2\r\n6,2\r\n"
+        assert np.array_equal(kmeans.load_partition(str(part_path), 7).assignments, [0, 0, 0, 1, 1, 2, 2])
+
     def test_verify_mismatched_m_exit_2(self, capsys, tmp_path):
         a, b = str(tmp_path / "a.bin"), str(tmp_path / "b.bin")
         save_dataset(Dataset(points=np.random.default_rng(0).standard_normal((5, 4))), a)

@@ -1,9 +1,11 @@
 import csv
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from jlkit import kmeans
 from jlkit.clusterability import (
     ClusterabilityParams,
     TransportReport,
@@ -275,6 +277,19 @@ class TestPerturbationRobustness:
             data = project(build_operator(500, 403, 3000 + t), small)
             assert check_perturbation_robustness(data, 3, 0.1, trials=30, seed=100 + t) is expected
             assert oracle_calls[0] == 1
+
+    def test_every_partition_a_rival_copies_no_mask_table(self):
+        # At (12, 6) the cached mask table holds 1,323,652 partitions
+        # (60.6 MiB); at s = 0.1 every one of them is a rival.
+        data = Dataset(points=np.random.default_rng(0).standard_normal((12, 3)))
+        kmeans._partition_masks(12, 6)  # built before tracing
+        tracemalloc.start()
+        try:
+            check_perturbation_robustness(data, 6, 0.1, trials=2, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2**20
 
     def test_size_limit(self):
         with pytest.raises(DomainError):

@@ -152,12 +152,6 @@ class TestDistortionReport:
         with pytest.raises(DegenerateDataError):
             distortion_report(Dataset(points=pts), Dataset(points=pts[:, :2]), 0.1)
 
-    def test_mismatched_ids_rejected(self):
-        a = Dataset(points=np.zeros((2, 3)), ids=["x", "y"])
-        b = Dataset(points=np.zeros((2, 2)), ids=["x", "z"])
-        with pytest.raises(ShapeError):
-            distortion_report(a, b, 0.1)
-
     def test_wrong_m_rejected(self):
         a = Dataset(points=np.zeros((3, 3)))
         b = Dataset(points=np.zeros((2, 2)))

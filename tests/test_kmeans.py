@@ -498,15 +498,17 @@ class TestOracleMemo:
         assert oracle_calls[0] == 1 + 5
 
     def test_subset_table_is_shared_and_read_only(self):
-        members = kmeans._subset_members(5)
-        assert kmeans._subset_members(5) is members
-        assert not members.flags.writeable
+        table = kmeans._subset_table(5)
+        assert kmeans._subset_table(5) is table
+        members, sizes = table
+        assert not members.flags.writeable and not sizes.flags.writeable
         assert members.shape == (32, 5)
+        assert np.array_equal(sizes, np.maximum(members.sum(axis=1), 1.0))
 
     def test_block_costs_match_sizes_summed_per_call(self):
         for m in range(1, 13):
             sq = sq_dist_matrix(np.random.default_rng(m).standard_normal((m, 3)))
-            members = kmeans._subset_members(m)
+            members = kmeans._subset_table(m)[0]
             expected = 0.5 * np.einsum("si,si->s", members @ sq, members) / np.maximum(members.sum(axis=1), 1.0)
             assert kmeans._block_costs(sq).tobytes() == expected.tobytes()
 
@@ -718,10 +720,10 @@ class TestPartitionHelpers:
 
     def test_save_load_round_trip(self, tmp_path):
         part = Partition(assignments=np.array([0, 1, 1, 0]), k=2)
-        ids = ["p0", "p1", "p2", "p3"]
-        path = str(tmp_path / "part.csv")
-        save_partition(part, ids, path)
-        back = load_partition(path, ids)
+        path = tmp_path / "part.csv"
+        save_partition(part, str(path))
+        assert path.read_text().splitlines() == ["id,cluster", "0,0", "1,1", "2,1", "3,0"]
+        back = load_partition(str(path), 4)
         assert np.array_equal(back.assignments, part.assignments)
 
     def test_load_partition_missing_ids_rejected(self, tmp_path):
@@ -729,9 +731,9 @@ class TestPartitionHelpers:
 
         part = Partition(assignments=np.array([0, 1]), k=2)
         path = str(tmp_path / "part.csv")
-        save_partition(part, ["a", "b"], path)
+        save_partition(part, path)
         with pytest.raises(ShapeError):
-            load_partition(path, ["a", "b", "c"])
+            load_partition(path, 3)
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))

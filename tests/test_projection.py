@@ -113,11 +113,6 @@ class TestProject:
         p2 = project(op, Dataset(points=2.0 * x)).points
         assert np.array_equal(p2, 2.0 * p1)
 
-    def test_ids_preserved(self):
-        op = build_operator(10, 3, seed=0)
-        data = Dataset(points=np.eye(10)[:4], ids=["a", "b", "c", "d"])
-        assert project(op, data).ids == ["a", "b", "c", "d"]
-
     def test_dimension_mismatch(self):
         op = build_operator(10, 3, seed=0)
         with pytest.raises(ShapeError):
@@ -141,10 +136,6 @@ class TestProject:
 
 
 class TestDataset:
-    def test_default_ids(self):
-        d = Dataset(points=np.zeros((3, 2)))
-        assert d.ids == ["0", "1", "2"]
-
     def test_rejects_nonfinite(self):
         with pytest.raises(DomainError):
             Dataset(points=np.array([[1.0, np.nan]]))
@@ -152,8 +143,6 @@ class TestDataset:
     def test_rejects_bad_shapes(self):
         with pytest.raises(ShapeError):
             Dataset(points=np.zeros(3))
-        with pytest.raises(ShapeError):
-            Dataset(points=np.zeros((2, 2)), ids=["only-one"])
 
 
 class TestFileFormats:
