@@ -1,8 +1,8 @@
 """Distance kernels, pairwise distortion verification and failure-rate estimation.
 
 Both distance kernels of the package live here: pairwise squared distances
-(``pairwise_sq_dists``, square form ``sq_dist_matrix``) and point-to-centre
-squared distances (``sq_dists_to``).
+(``pairwise_sq_dists``) and point-to-centre squared distances
+(``sq_dists_to``, also the small-m square form ``sq_dist_matrix``).
 
 A projection "succeeds" when every adjusted squared-distance quotient
 (n/n') ||u'-v'||^2 / ||u-v||^2 stays inside the band [1-delta, 1+delta];
@@ -145,12 +145,8 @@ def pairwise_sq_dists(points: np.ndarray, block: int = _BLOCK) -> np.ndarray:
 
 
 def sq_dist_matrix(points: np.ndarray) -> np.ndarray:
-    """Symmetric m x m form of ``pairwise_sq_dists`` for small m; equal rows are exactly 0."""
-    m = len(points)
-    out = np.zeros((m, m))
-    upper = np.triu_indices(m, 1)
-    out[upper] = out.T[upper] = pairwise_sq_dists(points)
-    return out
+    """Symmetric m x m squared distances for small m, by direct difference (``sq_dists_to``)."""
+    return sq_dists_to(points, points)
 
 
 def sq_dists_to(points: np.ndarray, centres: np.ndarray) -> np.ndarray:

@@ -254,10 +254,10 @@ def lloyd(data: Dataset, k: int, init: Partition | int = 0) -> tuple[Partition, 
 # Exact oracle: exhaustive enumeration of set partitions into k blocks.
 
 # Largest number of partitions S(m, k) the oracle enumerates: every m <= 12
-# and (14, 3).  At m = 14, k in 4..9 has 5M-63M, too many to hold; larger k
-# needs the subset dynamic program over the 2^m block costs.
+# and (14, 3).  At m = 14, k in 4..9 has 5M-63M, too many to hold even as
+# uint16; larger k needs the subset dynamic program over the 2^m block costs.
 PARTITION_CAP = 1 << 22
-_COST_CHUNK = 1 << 16  # partitions costed at once
+_COST_CHUNK = 1 << 14  # partitions costed at once; at 2^14 their temporaries stay in L2
 
 
 def _check_oracle_size(m: int, k: int) -> None:
@@ -275,26 +275,31 @@ def _check_oracle_size(m: int, k: int) -> None:
 def _partition_masks(m: int, k: int) -> np.ndarray:
     """All partitions of {0..m-1} into exactly k nonempty blocks.
 
-    A read-only (k, count) array of bitmasks, cached for the four most
-    recent (m, k) (the (14, 3) table alone is 18 MiB): column c
+    A read-only (k, count) uint16 array of bitmasks (room for m <= 16), cached for
+    the four most recent (m, k) (the (14, 3) table is 4.5 MiB): column c
     is partition c in restricted growth string order (lexicographic in the
     assignment vector), row j the block whose smallest member appears j-th.
     The strings grow one element at a time, children in label order.
     """
-    masks = np.zeros((k, 1), dtype=np.intp)
+    _check_oracle_size(m, k)
+    masks = np.zeros((k, 1), dtype=np.uint16)
     masks[0, 0] = 1
-    used = np.ones(1, dtype=np.int64)
+    used = np.ones(1, dtype=np.int8)
     for i in range(1, m):
         # Labels lo..min(used, k-1) for element i; a row that needs every
         # remaining element to open a new block only takes the new label.
         lo = np.where(used + (m - 1 - i) >= k, 0, used)
         counts = np.minimum(used, k - 1) - lo + 1
-        parent = np.repeat(np.arange(used.size), counts)
-        child = np.arange(parent.size)
-        label = lo[parent] + child - (np.cumsum(counts) - counts)[parent]
-        masks = masks[:, parent]
-        masks[label, child] |= 1 << i
-        used = np.maximum(used[parent], label + 1)
+        # A child's label: its parent's lo plus its rank among its siblings.
+        ends = np.cumsum(counts, dtype=np.int32)
+        label = np.arange(ends[-1], dtype=np.int32)
+        label -= np.repeat(ends - counts - lo, counts)
+        label = label.astype(np.int8)
+        masks = np.repeat(masks, counts, axis=1)
+        for j, row in enumerate(masks):
+            np.bitwise_or(row, 1 << i, out=row, where=label == j)
+        if i < m - 1:
+            used = np.maximum(np.repeat(used, counts), label + 1)
     masks.flags.writeable = False
     return masks
 
@@ -322,11 +327,11 @@ def _block_costs(sq: np.ndarray) -> np.ndarray:
 
 
 def _chunk_costs(block_cost: np.ndarray, masks: np.ndarray):
-    # (first column, costs) for each chunk of the partitions in masks, in
-    # chunks whose temporaries stay in cache.  Each cost is summed block by
-    # block: the order of numpy's row sum for k <= 7.
+    # (first column, costs) per cache-sized chunk of the partitions in masks,
+    # cast to intp once per chunk, not per gather.  Each cost is summed block
+    # by block: the order of numpy's row sum for k <= 7.
     for start in range(0, masks.shape[1], _COST_CHUNK):
-        chunk = masks[:, start:start + _COST_CHUNK]
+        chunk = masks[:, start:start + _COST_CHUNK].astype(np.intp)
         costs = block_cost[chunk[0]]
         for row in chunk[1:]:
             costs += block_cost[row]
@@ -363,7 +368,6 @@ def brute_force_optimum_sq_dists(sq: np.ndarray, k: int) -> tuple[Partition, flo
     Limited to m <= BRUTE_FORCE_MAX_POINTS and S(m, k) <= PARTITION_CAP.
     """
     m = sq.shape[0]
-    _check_oracle_size(m, k)
     masks = _partition_masks(m, k)
     first, cost = _first_minimum(_block_costs(sq), masks)
     labels = np.argmax((masks[:, first, None] >> np.arange(m)) & 1, axis=0)
@@ -375,8 +379,7 @@ def _optimum_labels(sq_bytes: bytes, m: int, k: int) -> np.ndarray:
     # The optimal labels of one squared-distance matrix, memoised on its
     # exact bytes, so a hit gives what a fresh enumeration would; read-only.
     # The memo sits above brute_force_optimum_sq_dists, so each call of that
-    # is one enumeration.  Its other caller, check_perturbation_robustness,
-    # enumerates its instance once and costs the perturbed metrics itself.
+    # is one enumeration; check_perturbation_robustness enumerates by itself.
     sq = np.frombuffer(sq_bytes).reshape(m, m)
     labels = brute_force_optimum_sq_dists(sq, k)[0].assignments
     labels.flags.writeable = False

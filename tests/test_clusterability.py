@@ -122,6 +122,14 @@ class TestSigmaSeparatedness:
         b = measure_sigma_separatedness(Dataset(points=4.0 * pts), 2)
         assert a == pytest.approx(b, rel=1e-12)
 
+    def test_translation_far_from_origin(self):
+        # At 1e8 the Gram expansion loses the distances: another optimum, sigma 0.944.
+        pts = np.random.default_rng(5).standard_normal((12, 30))
+        base, _ = brute_force_optimum(Dataset(points=pts), 3)
+        far = Dataset(points=pts + 1e8)
+        assert np.array_equal(brute_force_optimum(far, 3)[0].assignments, base.assignments)
+        assert measure_sigma_separatedness(far, 3) == pytest.approx(0.921344, abs=1e-6)
+
 
 class TestCentreStability:
     def test_hand_value(self):
@@ -269,18 +277,30 @@ class TestPerturbationRobustness:
         assert verdicts[0.5, 0] is False and verdicts[0.1, 1] is True
         assert sum(verdicts.values()) not in (0, len(verdicts))
 
-    def test_one_enumeration_per_call(self, oracle_calls):
+    def test_one_enumeration_per_call(self, monkeypatch, oracle_calls):
+        # One costing pass over the unperturbed (12, 3) table, and none
+        # through the oracle, which would make it a second.
         small, _ = generate(MixtureSpec(k=3, sizes=(4, 4, 4), dim=500, centre_distance=10.0,
                                         cluster_sigma=0.05, target_gap=1.0, seed=33))
+        passes, real = [], kmeans._chunk_costs
+
+        def counted(block_cost, masks):
+            passes.append((block_cost, masks.shape[1]))
+            return real(block_cost, masks)
+
+        monkeypatch.setattr(kmeans, "_chunk_costs", counted)
         for t, expected in ((0, True), (3, False)):  # the s^2 = 0.01 verdicts below
             oracle_calls[0] = 0
+            passes.clear()
             data = project(build_operator(500, 403, 3000 + t), small)
             assert check_perturbation_robustness(data, 3, 0.1, trials=30, seed=100 + t) is expected
-            assert oracle_calls[0] == 1
+            assert oracle_calls[0] == 0
+            unperturbed = kmeans._block_costs(sq_dist_matrix(data.points))
+            assert [n for cost, n in passes if np.array_equal(cost, unperturbed)] == [86_526]
 
     def test_every_partition_a_rival_copies_no_mask_table(self):
         # At (12, 6) the cached mask table holds 1,323,652 partitions
-        # (60.6 MiB); at s = 0.1 every one of them is a rival.
+        # (15.1 MiB); at s = 0.1 every one of them is a rival.
         data = Dataset(points=np.random.default_rng(0).standard_normal((12, 3)))
         kmeans._partition_masks(12, 6)  # built before tracing
         tracemalloc.start()

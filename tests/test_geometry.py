@@ -73,13 +73,15 @@ class TestSqDistsTo:
 
 
 class TestSqDistMatrix:
-    def test_square_form_of_the_condensed_kernel(self):
+    def test_direct_difference(self):
+        # Translated by 1e7, the Gram expansion lost every digit of these distances.
         pts = np.random.default_rng(0).standard_normal((9, 4))
-        sq = sq_dist_matrix(pts)
-        iu = np.triu_indices(9, 1)
-        assert np.array_equal(sq[iu], pairwise_sq_dists(pts))
-        assert np.array_equal(sq, sq.T)
-        assert np.all(np.diag(sq) == 0.0)
+        expected = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
+        for offset, rtol in ((0.0, 1e-12), (1e7, 1e-6)):
+            sq = sq_dist_matrix(pts + offset)
+            np.testing.assert_allclose(sq, expected, rtol=rtol)
+            assert np.array_equal(sq, sq.T)
+            assert np.all(np.diag(sq) == 0.0)
 
     def test_duplicated_rows_are_exactly_zero(self):
         # On these rows the Gram expansion leaves the duplicate pairs at

@@ -318,6 +318,15 @@ class TestBruteForce:
         with pytest.raises(DomainError):
             brute_force_optimum(Dataset(points=np.zeros((15, 2)) + np.arange(15)[:, None]), 2)
 
+    def test_distance_matrix_route_is_translation_invariant(self):
+        # The criterion-8 instance: at offset 1e7 the Gram expansion read a cost of 48.
+        data, _ = generate(MixtureSpec(k=2, sizes=(5, 5), dim=500, centre_distance=10.0,
+                                       cluster_sigma=0.05, target_gap=1.0, seed=33))
+        _, cost = brute_force_optimum_sq_dists(sq_dist_matrix(data.points), 2)
+        assert cost == pytest.approx(9.548920820, rel=1e-9)
+        _, far = brute_force_optimum_sq_dists(sq_dist_matrix(data.points + 1e7), 2)
+        assert far == pytest.approx(cost, rel=1e-6)
+
     def test_distance_matrix_route_matches_coordinates(self):
         rng = np.random.default_rng(8)
         data = Dataset(points=rng.standard_normal((9, 4)))
@@ -390,6 +399,27 @@ class TestPartitionMasks:
         assert kmeans._partition_masks.cache_info().currsize <= 4
         for m, k in pairs:
             assert np.array_equal(kmeans._partition_masks(m, k).T, reference_masks(m, k))
+
+
+class TestPartitionTableMemory:
+    def test_uint16_and_read_only(self):
+        masks = kmeans._partition_masks(14, 3)
+        assert masks.dtype == np.uint16
+        with pytest.raises(ValueError):
+            masks[0, 0] = 0
+
+    @pytest.mark.parametrize("m, k, bound_mib", [(14, 3, 20), (12, 6, 40)])
+    def test_cold_build_peak(self, m, k, bound_mib):
+        # The tables take 4.5 and 15.1 MiB; a build through int64 arrays as
+        # wide as the table peaks at 60.3 and 130.9 MiB.
+        kmeans._partition_masks.cache_clear()
+        tracemalloc.start()
+        try:
+            kmeans._partition_masks(m, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound_mib * 2**20
 
 
 # Integer coordinates in the tied cases: every pair sum is exact, so tied
