@@ -248,20 +248,13 @@ def check_perturbation_robustness(
     if data.m > 12:
         raise DomainError("perturbation check limited to m <= 12")
     sq = sq_dist_matrix(data.points)
+    _, best = kmeans.brute_force_optimum_sq_dists(sq, k)
     masks = kmeans._partition_masks(data.m, k)
     block_cost = kmeans._block_costs(sq)
-    # One pass keeps the first cheapest partition and, with their costs, all
-    # within 1/s^4 of the cheapest so far: a superset of the rivals.  Cost terms
-    # are non-negative, so rounding stays near m eps, far inside the 1e-9 slack.
-    best, first, near = math.inf, 0, []
-    for start, costs in kmeans._chunk_costs(block_cost, masks):
-        i = int(np.argmin(costs))
-        if costs[i] < best:
-            best, first = float(costs[i]), start + i
-        cols = np.flatnonzero(s**4 * costs <= (1.0 + 1e-9) * best)
-        near.append((start + cols, costs[cols]))
-    for i, (cols, costs) in enumerate(near):
-        near[i] = cols[s**4 * costs <= (1.0 + 1e-9) * best]
+    # Every cost term is non-negative, so rounding stays near m eps of the
+    # exact costs, far inside the 1e-9 slack.
+    near = [start + np.flatnonzero(s**4 * costs <= (1.0 + 1e-9) * best)
+            for start, costs in kmeans._chunk_costs(block_cost, masks)]
     keep = np.concatenate(near)
     # Every partition a rival: use the cached table, not a copy (15.1 MiB at (12, 6)).
     rivals = masks if keep.size == masks.shape[1] else masks[:, keep]
@@ -269,7 +262,7 @@ def check_perturbation_robustness(
         return True
     # Rivals keep the enumeration order, so the first perturbed minimum
     # among them is the first overall, as a full enumeration finds it.
-    reference = int(np.searchsorted(keep, first))
+    reference = kmeans._first_minimum(block_cost, rivals)[0]
     rng = np.random.default_rng(seed)
     m = data.m
     iu = np.triu_indices(m, 1)
