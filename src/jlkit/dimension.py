@@ -185,23 +185,17 @@ def implicit_dimension(m: int, epsilon: float, delta: float, n: int, strict: boo
     return hi
 
 
-def dg_n_prime(m: int, delta: float, original_denominator: bool = False) -> int:
+def dg_n_prime(m: int, delta: float) -> int:
     """Per-trial target dimension of the classical repeat-until-success scheme.
 
     Uses ceil(4 ln m / (delta^2 - delta^3)) as published in the reference
-    tables.  ``original_denominator=True`` switches to the denominator
-    delta^2/2 - delta^3/3 of the original lemma, which roughly doubles
-    the dimension.
+    tables.
     """
     if m < 2:
         raise DomainError(f"m must be >= 2, got {m}")
     if not 0.0 < delta < 1.0:
         raise DomainError(f"delta must lie in (0, 1), got {delta}")
-    if original_denominator:
-        den = delta * delta / 2.0 - delta ** 3 / 3.0
-    else:
-        den = delta * delta - delta ** 3
-    return math.ceil(4.0 * math.log(m) / den)
+    return math.ceil(4.0 * math.log(m) / (delta * delta - delta ** 3))
 
 
 def dg_repetitions(m: int, epsilon: float) -> int:

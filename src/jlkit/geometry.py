@@ -58,87 +58,91 @@ class FailureRateEstimate:
 # against its GEMM.
 _BLOCK = 256
 
-# A squared distance computed as |x|^2 + |y|^2 - 2 x.y for equal rows x = y
-# is rounding noise of at most about this times d (|x|^2 + |y|^2); pairs
-# below it are compared row by row and set to exactly 0 when the rows match.
-_DUP_TOL = 4.0 * np.finfo(np.float64).eps
+# The expansion |x|^2 + |y|^2 - 2 x.y of a pair (here), or of a block's
+# cost (in kmeans.cluster_stats), counts as cancelled when it falls below
+# the sum of squared norms divided by this ratio, and is then recomputed:
+# on random data the expansion is within 1e-12 relative of direct
+# difference at a ratio of 1e2, not 1e3.
+_CANCELLATION_RATIO = 100.0
 
 
-class _RowLabels:
-    """Labels rows so that two rows share a label exactly when they are bitwise equal.
+def _reexpand(points: np.ndarray, s: int, sq: np.ndarray, near: np.ndarray) -> None:
+    # Recompute the flagged pairs of the row block starting at s about a
+    # centre of their own, the block's first flagged row x0, at most one
+    # block-width of its flagged columns at a time: |a|^2 + |b|^2 - 2 a.b
+    # with a = X[rows] - x0, b = X[cols] - x0.  Pairs that no longer cancel
+    # are kept; the centre row's own pairs are direct differences, so each
+    # pass clears some, and equal rows come out exactly 0.
+    width = near.shape[0]
+    while near.any():
+        r0 = near.any(axis=1).argmax()
+        cols = np.flatnonzero(near[r0])[:width]
+        rows = np.flatnonzero(near[:, cols].any(axis=1))
+        a = points[s + rows]
+        a -= points[s + r0]
+        b = points[s + cols]
+        b -= points[s + r0]
+        nsum = np.einsum("ij,ij->i", a, a)[:, None] + np.einsum("ij,ij->i", b, b)
+        sub = a @ b.T
+        sub *= -2.0
+        sub += nsum
+        np.maximum(sub, 0.0, out=sub)
+        still = sub * _CANCELLATION_RATIO < nsum
+        blk = np.ix_(rows, cols)
+        flagged = near[blk]
+        sq[blk] = np.where(flagged & ~still, sub, sq[blk])
+        near[blk] = flagged & still
 
-    A row is labelled on first use, against the earlier rows whose bytes
-    hash alike, so the work is O(d) per labelled row however many pairs
-    are asked about, and no copy of the data is kept.
-    """
 
-    def __init__(self, points: np.ndarray):
-        self._points = points
-        self._labels = np.full(points.shape[0], -1, dtype=np.intp)
-        self._buckets: dict[int, list[int]] = {}
-
-    def __call__(self, rows: np.ndarray) -> np.ndarray:
-        for i in np.unique(rows[self._labels[rows] < 0]):
-            row = self._points[i].tobytes()
-            bucket = self._buckets.setdefault(hash(row), [])
-            match = next((r for r in bucket if self._points[r].tobytes() == row), None)
-            if match is None:
-                bucket.append(i)
-                match = i
-            self._labels[i] = match
-        return self._labels[rows]
-
-
-def _upper_blocks(points: np.ndarray, block: int) -> Iterator[np.ndarray]:
+def _upper_blocks(points: np.ndarray) -> Iterator[np.ndarray]:
     """Yield the condensed squared distances of pairs i < j, one row block at a time.
 
     For rows [s, e) only the Gram block X[s:e] @ X[s:].T is computed.  Its
     strict upper triangle (column > row), read in row-major order, is the
     run of the condensed i < j vector that belongs to those rows, so the
     yielded arrays, concatenated, are that vector.  Each pair is
-    ||x_i||^2 + ||x_j||^2 - 2 x_i.x_j clamped at 0, except that a pair of
-    bitwise-equal rows is exactly 0.
+    ||x_i||^2 + ||x_j||^2 - 2 x_i.x_j clamped at 0, unless that expansion
+    cancels (see ``_CANCELLATION_RATIO``): such pairs are recomputed about
+    a point near them (``_reexpand``), which makes equal rows exactly 0.
     """
-    m, d = points.shape
+    m = points.shape[0]
     norms = np.einsum("ij,ij->i", points, points)
-    upper = np.arange(min(block, m))[:, None] < np.arange(m)
-    labels = _RowLabels(points)
-    for s in range(0, m, block):
-        e = min(s + block, m)
+    upper = np.arange(min(_BLOCK, m))[:, None] < np.arange(m)
+    for s in range(0, m, _BLOCK):
+        e = min(s + _BLOCK, m)
         upper_blk = upper[: e - s, : m - s]
         nsum = norms[s:e, None] + norms[s:]
         sq = points[s:e] @ points[s:].T
         sq *= -2.0
         sq += nsum
         np.maximum(sq, 0.0, out=sq)
-        nsum *= _DUP_TOL * d
-        near = sq <= nsum
+        near = sq * _CANCELLATION_RATIO < nsum
+        del nsum
         near &= upper_blk
-        r, c = np.nonzero(near)
-        if r.size:
-            dup = labels(s + r) == labels(s + c)
-            sq[r[dup], c[dup]] = 0.0
+        if near.any():
+            _reexpand(points, s, sq, near)
         seg = sq[upper_blk]
-        del sq, nsum, near  # only the upper triangle stays alive while the caller works
+        del sq, near  # only the upper triangle stays alive while the caller works
         yield seg
 
 
-def pairwise_sq_dists(points: np.ndarray, block: int = _BLOCK) -> np.ndarray:
+def pairwise_sq_dists(points: np.ndarray) -> np.ndarray:
     """Condensed vector of squared Euclidean distances over all pairs i < j.
 
     Computed in row blocks of the upper triangle: rows [s, s+block) are
     multiplied only against rows s.. onward, so the Gram work is half of a
     full product.  Every pair is ||x_i||^2 + ||x_j||^2 - 2 x_i.x_j from its
     own norms and dot product, clamped at 0, so the result does not depend
-    on the block size beyond BLAS rounding.  Pairs of bitwise-equal rows
-    are exactly 0: the expansion leaves them rounding noise, so pairs
-    within that noise are compared row by row.
+    on the block size beyond BLAS rounding.  Where that expansion cancels,
+    as for data translated far from the origin or tight clusters far from
+    it, the pair is recomputed about a nearby point, which brings it
+    within rounding of direct difference and makes equal rows exactly 0.
     """
     points = np.asarray(points, dtype=np.float64)
     m = points.shape[0]
     out = np.empty(m * (m - 1) // 2, dtype=np.float64)
     pos = 0
-    for seg in _upper_blocks(points, block):
+    for seg in _upper_blocks(points):
         out[pos : pos + seg.size] = seg
         pos += seg.size
     return out
@@ -167,7 +171,7 @@ def _block_quotients(sq_orig: np.ndarray, projected: np.ndarray, adjust: float) 
     # zero original distance dropped.  Each block reads its slice of the condensed
     # sq_orig before its quotients are yielded, so the caller may overwrite it.
     read = 0
-    for sq_proj in _upper_blocks(projected, _BLOCK):
+    for sq_proj in _upper_blocks(projected):
         sq_o = sq_orig[read : read + sq_proj.size]
         read += sq_proj.size
         nonzero = sq_o > 0.0
@@ -187,10 +191,11 @@ def distortion_report(original: Dataset, projected: Dataset, delta: float) -> Di
     block's quotients overwriting its slice of the original distances, so
     the one condensed array is the returned quotients.  Pairs whose original
     points coincide carry no information (the band is vacuous there); they
-    are excluded from the quotients and counted in ``zero_pairs``.  That
-    includes every pair of bitwise-equal original rows, whatever rounding
-    the Gram expansion would give them.  The identity case n' == n is
-    allowed as a diagnostic mode.
+    are excluded from the quotients and counted in ``zero_pairs``.  In
+    both spaces the pairs where the Gram expansion cancels are
+    recomputed, so bitwise-equal original rows always give zero pairs,
+    and translating the data moves the quotients by rounding only.  The
+    identity case n' == n is allowed as a diagnostic mode.
     """
     if original.m != projected.m:
         raise ShapeError(f"point counts differ: {original.m} vs {projected.m}")
@@ -205,7 +210,7 @@ def distortion_report(original: Dataset, projected: Dataset, delta: float) -> Di
     # The original distances fill the buffer that becomes the quotients:
     # pairs with a nonzero original distance are compacted towards the
     # front, never ahead of the slice still to be read.
-    quotients = pairwise_sq_dists(original.points, _BLOCK)
+    quotients = pairwise_sq_dists(original.points)
     pos = violations = 0
     for q in _block_quotients(quotients, projected.points, adjust):
         violations += int(np.count_nonzero((q < band[0]) | (q > band[1])))

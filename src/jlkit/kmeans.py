@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDataError, DomainError, NumericalError, ShapeError
-from .geometry import sq_dist_matrix, sq_dists_to
+from .geometry import _CANCELLATION_RATIO, sq_dist_matrix, sq_dists_to
 from .projection import Dataset, build_operator, project
 
 __all__ = [
@@ -128,12 +128,6 @@ class GlobalTransferResult:
     reverse_margin: float
 
 
-# Blocks whose sum of squared norms exceeds this multiple of the expanded
-# cost are recomputed by direct difference: on random blocks the expansion
-# is within 1e-12 relative of direct difference at a ratio of 1e2, not 1e3.
-_CANCELLATION_RATIO = 100.0
-
-
 # Most entries of the k x m block indicator built at once (16 MiB).
 _INDICATOR_ENTRIES = 1 << 21
 
@@ -165,6 +159,8 @@ def cluster_stats(data: Dataset, partition: Partition) -> ClusterStats:
     is recomputed by direct difference from its centroid, and a block of
     bitwise-equal rows gets that row as centroid and cost exactly 0
     (the detect-and-repair scheme of Chan, Golub and LeVeque, 1983).
+    The pairwise kernel, ``geometry.pairwise_sq_dists``, uses the same
+    guard with the same ratio.
     """
     if partition.m != data.m:
         raise ShapeError(f"partition covers {partition.m} points, dataset has {data.m}")
@@ -510,21 +506,17 @@ def is_lloyd_fixed_point(data: Dataset, partition: Partition) -> bool:
     return bool(np.all(own <= sq.min(axis=1)))
 
 
-def measure_gap(data: Dataset, partition: Partition, relative_to: str = "half") -> GapMeasure:
+def measure_gap(data: Dataset, partition: Partition) -> GapMeasure:
     """Relative gap g = 2 (1 - max alpha) between clusters.
 
     For the ordered pair (A, B), alpha is the largest scalar projection of
     a point of A (relative to A's centroid) onto the unit vector toward
-    B's centroid, divided by the reference distance: half the centre
-    distance for ``relative_to="half"`` (the default construction), or
-    the full centre distance for the alternative reading
-    ``relative_to="full"``.  Projections are clamped to [0, 1]: points
-    behind their own centroid contribute no proximity to the border.
+    B's centroid, divided by half the centre distance.  Projections are
+    clamped to [0, 1]: points behind their own centroid contribute no
+    proximity to the border.
     """
     if partition.k < 2:
         raise DomainError("gap needs at least two clusters")
-    if relative_to not in ("half", "full"):
-        raise DomainError(f"relative_to must be 'half' or 'full', got {relative_to!r}")
     stats = cluster_stats(data, partition)
     k = partition.k
     alpha = np.full((k, k), np.nan)
@@ -539,9 +531,8 @@ def measure_gap(data: Dataset, partition: Partition, relative_to: str = "half") 
             if dist == 0.0:
                 raise DegenerateDataError(f"clusters {a} and {b} have coincident centroids")
             halfdist[a, b] = dist / 2.0
-            ref = dist / 2.0 if relative_to == "half" else dist
             proj = pts @ (direction / dist)
-            alpha[a, b] = min(1.0, max(0.0, float(proj.max()) / ref))
+            alpha[a, b] = min(1.0, max(0.0, float(proj.max()) / halfdist[a, b]))
     g = 2.0 * (1.0 - float(np.nanmax(alpha)))
     return GapMeasure(per_pair_alpha=alpha, g=g, d_halfdist=halfdist)
 

@@ -98,6 +98,33 @@ class TestPipeline:
         with open(hist_path, newline="") as fh:
             assert next(csv.reader(fh)) == ["bin_lo", "bin_hi", "count"]
 
+    def test_translated_dataset_same_verdict(self, capsys, tmp_path):
+        # Tight clusters (sigma 0.01) moved to +1e5: every pair's squared
+        # norms dwarf its distance, and the verdict must not notice.
+        data_path = str(tmp_path / "data.bin")
+        shifted_path = str(tmp_path / "shifted.bin")
+        code, _, _ = run(
+            capsys, "gen", "--k", "2", "--sizes", "30,30", "--dim", "400",
+            "--distance", "10", "--sigma", "0.01", "--gap", "1", "--seed", "7",
+            "--out", data_path,
+        )
+        assert code == 0
+        save_dataset(Dataset(points=load_dataset(data_path).points + 1e5), shifted_path)
+        lines = []
+        for path in (data_path, shifted_path):
+            proj_path = path + ".proj"
+            code, _, _ = run(
+                capsys, "project", "--input", path, "--out", proj_path,
+                "--epsilon", "0.1", "--delta", "0.2", "--seed", "3", "--orthonormal",
+            )
+            assert code == 0
+            code, out, _ = run(
+                capsys, "verify", "--original", path, "--projected", proj_path, "--delta", "0.2",
+            )
+            assert code == 0
+            lines.append([line for line in out.splitlines() if line.startswith("violations:")])
+        assert lines[0] == lines[1] == ["violations: 0"]
+
     def test_gen_partition_out_bytes(self, capsys, tmp_path):
         # The id column is the point's row index in the dataset file.
         part_path = tmp_path / "part.csv"

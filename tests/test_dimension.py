@@ -211,10 +211,6 @@ class TestDasguptaGupta:
     def test_published_anchors(self, m, delta, expected):
         assert dg_n_prime(m, delta) == expected
 
-    def test_original_denominator_variant(self):
-        # delta^2/2 - delta^3/3 is a smaller denominator, hence more dims.
-        assert dg_n_prime(1000, 0.1, original_denominator=True) > dg_n_prime(1000, 0.1)
-
     @pytest.mark.parametrize(
         "m,eps,expected", [(10, 0.01, 44), (1000, 0.05, 2995), (2, 0.5, 1)]
     )

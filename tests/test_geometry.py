@@ -1,4 +1,5 @@
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,14 +33,16 @@ class TestPairwiseSqDists:
         pts = np.random.default_rng(0).standard_normal((23, 7))
         assert np.allclose(pairwise_sq_dists(pts), brute_sq_dists(pts), rtol=1e-10, atol=1e-12)
 
-    def test_block_size_independent(self):
+    def test_block_size_independent(self, monkeypatch):
         # Each pair is computed from its own norms and dot product, so the
         # value is a function of (x_i, x_j) alone; BLAS kernel selection
         # may still wiggle the last ulp between block shapes.
         pts = np.random.default_rng(1).standard_normal((31, 5))
-        ref = pairwise_sq_dists(pts, block=31)
+        monkeypatch.setattr(geometry, "_BLOCK", 31)
+        ref = pairwise_sq_dists(pts)
         for block in (1, 2, 7, 16, 100):
-            assert np.allclose(pairwise_sq_dists(pts, block=block), ref, rtol=1e-12, atol=0)
+            monkeypatch.setattr(geometry, "_BLOCK", block)
+            assert np.allclose(pairwise_sq_dists(pts), ref, rtol=1e-12, atol=0)
 
     def test_repeat_call_bitwise_identical(self):
         pts = np.random.default_rng(1).standard_normal((31, 5))
@@ -256,7 +259,7 @@ class TestBlockKernel:
         report = distortion_report(data, proj, 0.5)
         assert (report.violations, report.zero_pairs) == (ref.violations, ref.zero_pairs)
         assert np.allclose(report.quotients, ref.quotients, rtol=1e-12, atol=0)
-        sq = pairwise_sq_dists(data.points, block=block)
+        sq = pairwise_sq_dists(data.points)
         assert np.count_nonzero(sq == 0.0) == 7
         assert np.allclose(sq, ref_sq, rtol=1e-12, atol=0)
 
@@ -313,3 +316,74 @@ class TestFailureRateStreaming:
         monkeypatch.setattr(geometry, "_BLOCK", block)
         data = Dataset(points=np.random.default_rng(12).standard_normal((300, 80)))
         assert estimate_failure_rate(data, 60, 0.9, 12, 21).failures == 5
+
+
+def direct_quotients(original, projected):
+    """Quotients from direct differences of the stored points, in condensed order."""
+    iu = np.triu_indices(original.shape[0], 1)
+    adjust = original.shape[1] / projected.shape[1]
+    return adjust * sq_dist_matrix(projected)[iu] / sq_dist_matrix(original)[iu]
+
+
+def _report(points, n_prime=1000, seed=3, delta=0.3):
+    data = Dataset(points=points)
+    return distortion_report(data, project(build_operator(data.dim, n_prime, seed), data), delta)
+
+
+class TestCancellation:
+    # Pairs whose squared norms dwarf their distance: there the Gram
+    # expansion alone loses most of its digits, enough to change the
+    # verdict, so the kernel must recompute them.
+
+    def test_translated_data_keep_the_unshifted_verdict(self):
+        pts = np.random.default_rng(0).standard_normal((200, 2000)) * 0.01
+        base, shifted = _report(pts), _report(pts + 1e5)
+        assert shifted.violations == base.violations == 0
+        assert shifted.quotients.min() == pytest.approx(base.quotients.min(), abs=1e-9)
+        assert shifted.quotients.max() == pytest.approx(base.quotients.max(), abs=1e-9)
+
+    def test_tight_pair_of_clusters_matches_direct_difference(self):
+        a = np.random.default_rng(1).standard_normal((100, 2000)) * 0.01
+        pts = np.vstack([a + 1e5, 1.3 * a[::-1] - 1e5])
+        data = Dataset(points=pts)
+        projected = project(build_operator(2000, 1000, 3), data)
+        report = distortion_report(data, projected, 0.3)
+        assert report.violations == 0
+        np.testing.assert_allclose(report.quotients, direct_quotients(pts, projected.points), rtol=1e-12)
+
+    def test_far_near_duplicates_are_not_noise(self):
+        # Rows 1e-3 apart at scale 1e6: the expansion's rounding is some
+        # 1e5 times their squared distance.
+        rng = np.random.default_rng(4)
+        base = rng.standard_normal((40, 200)) * 1e6
+        pts = np.vstack([base, base + 1e-3 * rng.standard_normal((40, 200))])
+        sq = pairwise_sq_dists(pts)
+        twins = [i * 80 - i * (i + 1) // 2 + (40 - 1) for i in range(40)]  # condensed (i, i + 40)
+        expected = np.sum((pts[40:] - pts[:40]) ** 2, axis=1)
+        assert np.all(sq[twins] > 0.0)
+        np.testing.assert_allclose(sq[twins], expected, rtol=1e-12)
+
+    def test_two_far_clusters_match_direct_difference(self):
+        pts = np.random.default_rng(2).standard_normal((600, 300))
+        pts[:300] += 1e5
+        pts[300:] -= 1e5
+        expected = sq_dist_matrix(pts)[np.triu_indices(600, 1)]
+        np.testing.assert_allclose(pairwise_sq_dists(pts), expected, rtol=1e-12)
+
+    def test_recomputation_needs_only_block_sized_temporaries(self):
+        # Every pair of the translated data is recomputed; beyond what the
+        # unshifted data need, that may take the re-expansion's own arrays:
+        # two block x d differences and four block x block floats.
+        m, d = 1000, 300
+        pts = np.random.default_rng(5).standard_normal((m, d)) * 0.01
+
+        def peak(points):
+            tracemalloc.start()
+            try:
+                pairwise_sq_dists(points)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        extra = peak(pts + 1e5) - peak(pts)
+        assert extra <= 8 * geometry._BLOCK * (2 * d + 4 * geometry._BLOCK)

@@ -659,13 +659,6 @@ class TestMeasureGap:
         measured = measure_gap(data, part).g
         assert measured >= 1.0 - 0.05
 
-    def test_full_distance_reading(self):
-        data = Dataset(points=np.array([[-1.0, 0.0], [1.0, 0.0], [3.0, 0.0], [3.0, 0.0]]))
-        part = Partition(assignments=np.array([0, 0, 1, 1]), k=2)
-        half = measure_gap(data, part, relative_to="half")
-        full = measure_gap(data, part, relative_to="full")
-        assert full.per_pair_alpha[0, 1] == pytest.approx(half.per_pair_alpha[0, 1] / 2.0)
-
 
 class TestCostSandwich:
     def test_identity_case(self):
