@@ -19,7 +19,7 @@ import numpy as np
 
 from . import clusterability as clus
 from . import datagen, dimension, geometry, kmeans, reproduce
-from .errors import JlkitError
+from .errors import DomainError, JlkitError
 from .projection import build_operator, load_dataset, project, save_dataset, save_operator
 
 __all__ = ["main"]
@@ -72,7 +72,10 @@ def _cmd_reproduce(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    sizes = tuple(int(s) for s in args.sizes.split(","))
+    try:
+        sizes = tuple(int(s) for s in args.sizes.split(","))
+    except ValueError:
+        raise DomainError(f"--sizes must be comma-separated integers, got {args.sizes!r}") from None
     spec = datagen.MixtureSpec(
         k=args.k, sizes=sizes, dim=args.dim, centre_distance=args.distance,
         cluster_sigma=args.sigma, target_gap=args.gap, seed=args.seed,

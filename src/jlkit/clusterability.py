@@ -182,26 +182,25 @@ def measure_weak_deletion_stability(data: Dataset, k: int) -> float:
     """Cheapest deletion-and-merge cost divided by OPT.
 
     Deletes each optimal centre j in turn, reassigns all of cluster j to a
-    receiving cluster j', recomputes centroids, and takes the minimum cost
-    over (j, j').  The instance is (1+beta)-weak-deletion stable for any
-    1 + beta below the returned ratio.
+    receiving cluster r and recomputes centroids.  That raises the cost by
+    exactly m_j m_r / (m_j + m_r) ||mu_j - mu_r||^2 (the merge identity of
+    ``kmeans.var_merge``), so the ratio is (OPT + smallest rise) / OPT,
+    from the sizes and the k x k centroid distances of the optimum.  Those
+    stats come from the points minus their first row: centroids near the
+    origin keep the digits of their differences that centroids of data far
+    from it lose.  The instance is (1+beta)-weak-deletion stable for any
+    1 + beta below the returned ratio; coincident centroids give 1.
     """
     if k < 2:
         raise DomainError(f"k must be >= 2, got {k}")
-    partition, stats = brute_force_optimum(data, k)
+    partition, _ = brute_force_optimum(data, k)
+    stats = cluster_stats(Dataset(points=data.points - data.points[0]), partition)
     if stats.cost <= 0.0:
         raise DegenerateDataError("optimal cost is zero; deletion ratio undefined")
-    best = math.inf
-    for j in range(k):
-        for receiver in range(k):
-            if receiver == j:
-                continue
-            merged = partition.assignments.copy()
-            merged[merged == j] = receiver
-            merged[merged > j] -= 1
-            cost = cluster_stats(data, Partition(assignments=merged, k=k - 1)).cost
-            best = min(best, cost)
-    return best / stats.cost
+    m = stats.sizes
+    rise = m[:, None] * m / (m[:, None] + m) * sq_dist_matrix(stats.centroids)
+    np.fill_diagonal(rise, np.inf)
+    return (stats.cost + float(rise.min())) / stats.cost
 
 
 def transport_trials(

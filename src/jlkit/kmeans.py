@@ -37,8 +37,6 @@ __all__ = [
     "cost_sandwich_check",
     "sandwich_trials",
     "var_merge",
-    "var_merge_clusters",
-    "balance_quotient",
     "pair_balance",
     "is_lloyd_fixed_point",
     "measure_gap",
@@ -460,38 +458,34 @@ def var_merge(size1: int, var1: float, mu1: np.ndarray, size2: int, var2: float,
     return (var1 * size1 + var2 * size2 + size1 * size2 / m12 * gap) / m12
 
 
-def var_merge_clusters(data: Dataset, partition: Partition, j1: int, j2: int) -> float:
-    """Merged variance of two clusters of one partition, via the identity."""
-    if j1 == j2:
-        raise DomainError("clusters to merge must be distinct (disjoint membership)")
-    stats = cluster_stats(data, partition)
-    return var_merge(
-        int(stats.sizes[j1]), float(stats.variances[j1]), stats.centroids[j1],
-        int(stats.sizes[j2]), float(stats.variances[j2]), stats.centroids[j2],
-    )
-
-
-def balance_quotient(stats: ClusterStats, j1: int, j2: int) -> float:
-    """(VAR(C1) m12/m2 + VAR(C2) m12/m1) / ||mu1 - mu2||^2 for one cluster pair."""
-    if j1 == j2:
-        raise DomainError("cluster pair must be distinct")
-    sq_gap = float(np.sum((stats.centroids[j1] - stats.centroids[j2]) ** 2))
-    if sq_gap == 0.0:
-        raise DegenerateDataError(f"clusters {j1} and {j2} have coincident centroids")
-    m1, m2 = int(stats.sizes[j1]), int(stats.sizes[j2])
-    m12 = m1 + m2
-    return (float(stats.variances[j1]) * m12 / m2 + float(stats.variances[j2]) * m12 / m1) / sq_gap
+def _centroid_sq_dists(centroids: np.ndarray) -> np.ndarray:
+    # The k x k squared centre distances, refused when two centroids coincide:
+    # such a pair has neither a balance quotient nor a gap.
+    sq = sq_dist_matrix(centroids)
+    coincident = np.argwhere(np.triu(sq == 0.0, 1))
+    if coincident.size:
+        a, b = coincident[0]
+        raise DegenerateDataError(f"clusters {a} and {b} have coincident centroids")
+    return sq
 
 
 def pair_balance(stats: ClusterStats) -> PairBalance:
-    """Balance quotient of every cluster pair; p is their maximum."""
+    """Balance quotient of every cluster pair; p is their maximum.
+
+    For clusters C1, C2 of sizes m1, m2 and m12 = m1 + m2 the quotient is
+    (VAR(C1) m12/m2 + VAR(C2) m12/m1) / ||mu1 - mu2||^2, all pairs at once
+    from the k x k centre distances.  Coincident centroids raise
+    DegenerateDataError.
+    """
     k = stats.sizes.size
     if k < 2:
         raise DomainError("balance needs at least two clusters")
+    sq_gap = _centroid_sq_dists(stats.centroids)
+    sizes, var = stats.sizes, stats.variances
+    i, j = np.triu_indices(k, 1)
+    m12 = sizes[i] + sizes[j]
     per_pair = np.full((k, k), np.nan)
-    for j1 in range(k):
-        for j2 in range(j1 + 1, k):
-            per_pair[j1, j2] = balance_quotient(stats, j1, j2)
+    per_pair[i, j] = (var[i] * m12 / sizes[j] + var[j] * m12 / sizes[i]) / sq_gap[i, j]
     return PairBalance(p=float(np.nanmax(per_pair)), per_pair=per_pair)
 
 
@@ -511,28 +505,24 @@ def measure_gap(data: Dataset, partition: Partition) -> GapMeasure:
 
     For the ordered pair (A, B), alpha is the largest scalar projection of
     a point of A (relative to A's centroid) onto the unit vector toward
-    B's centroid, divided by half the centre distance.  Projections are
-    clamped to [0, 1]: points behind their own centroid contribute no
-    proximity to the border.
+    B's centroid, divided by half the centre distance:
+    2 max_x (x - mu_A).(mu_B - mu_A) / ||mu_B - mu_A||^2, one product per
+    cluster against every centre direction.  Projections are clamped to
+    [0, 1]: points behind their own centroid contribute no proximity to
+    the border.  Coincident centroids raise DegenerateDataError.
     """
     if partition.k < 2:
         raise DomainError("gap needs at least two clusters")
-    stats = cluster_stats(data, partition)
-    k = partition.k
-    alpha = np.full((k, k), np.nan)
-    halfdist = np.full((k, k), np.nan)
+    centroids, k = cluster_stats(data, partition).centroids, partition.k
+    sq = _centroid_sq_dists(centroids)
+    reach = np.empty((k, k))
     for a in range(k):
-        pts = data.points[partition.members(a)] - stats.centroids[a]
-        for b in range(k):
-            if a == b:
-                continue
-            direction = stats.centroids[b] - stats.centroids[a]
-            dist = float(np.linalg.norm(direction))
-            if dist == 0.0:
-                raise DegenerateDataError(f"clusters {a} and {b} have coincident centroids")
-            halfdist[a, b] = dist / 2.0
-            proj = pts @ (direction / dist)
-            alpha[a, b] = min(1.0, max(0.0, float(proj.max()) / halfdist[a, b]))
+        pts = data.points[partition.members(a)] - centroids[a]
+        reach[a] = (pts @ (centroids - centroids[a]).T).max(axis=0)
+    off = ~np.eye(k, dtype=bool)
+    alpha = np.full((k, k), np.nan)
+    alpha[off] = np.clip(2.0 * reach[off] / sq[off], 0.0, 1.0)
+    halfdist = np.where(off, np.sqrt(sq) / 2.0, np.nan)
     g = 2.0 * (1.0 - float(np.nanmax(alpha)))
     return GapMeasure(per_pair_alpha=alpha, g=g, d_halfdist=halfdist)
 

@@ -138,7 +138,8 @@ def load_dataset(path: str) -> Dataset:
     header's (m, d) implies (later bytes are ignored); that is checked
     before the m x d array is allocated, so a corrupt header is a
     ``ShapeError``, not a huge allocation.  A pipe has no size to check and
-    is read up to the data's end, a short read being a ``ShapeError``.
+    is read up to the data's end, a short read being a ``ShapeError``.  So
+    is a CSV cell that is not a number or a CSV row of another length.
     """
     with open(path, "rb") as fh:
         head = fh.read(len(_MAGIC))
@@ -165,7 +166,10 @@ def load_dataset(path: str) -> Dataset:
         [float(tok) for tok in first.strip().split(",")]
     except ValueError:
         skip = 1
-    points = np.loadtxt(path, delimiter=",", ndmin=2, skiprows=skip)
+    try:
+        points = np.loadtxt(path, delimiter=",", ndmin=2, skiprows=skip)
+    except ValueError as err:
+        raise ShapeError(f"malformed CSV dataset {path}: {err}") from None
     return Dataset(points=points)
 
 

@@ -155,6 +155,22 @@ class TestPipeline:
         assert code == 2
         assert "error" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("text", ["1,2\n3,x\n", "1,2\n3,4,5\n"], ids=["non-numeric", "ragged"])
+    def test_malformed_csv_exit_2(self, capsys, tmp_path, text):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        for argv in (("project", "--input", str(path), "--out", str(tmp_path / "p.bin"), "--nprime", "1"),
+                     ("verify", "--original", str(path), "--projected", str(path), "--delta", "0.1")):
+            code, _, err = run(capsys, *argv)
+            assert code == 2
+            assert err.startswith("error: malformed CSV dataset")
+
+    def test_gen_non_integer_sizes_exit_2(self, capsys, tmp_path):
+        code, _, err = run(capsys, "gen", "--k", "2", "--sizes", "3,x", "--dim", "3",
+                           "--out", str(tmp_path / "g.bin"))
+        assert code == 2
+        assert err.startswith("error: --sizes")
+
     def test_missing_file_exit_1(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "verify", "--original", str(tmp_path / "nope.bin"),

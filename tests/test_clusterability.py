@@ -1,11 +1,12 @@
 import csv
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from jlkit import kmeans
+from jlkit import clusterability, kmeans
 from jlkit.clusterability import (
     ClusterabilityParams,
     TransportReport,
@@ -185,6 +186,53 @@ class TestWeakDeletion:
         opt = 3 * 0.125
         merged_cost = 50.0 + 50.25 + 0.125
         assert ratio == pytest.approx(merged_cost / opt, rel=1e-9)
+
+    @pytest.mark.parametrize("offset", [0.0, 1e7, 1e12])
+    def test_matches_exact_rationals(self, offset):
+        # Far from the origin the centroids' digits are gone, so the ratio
+        # is checked against exact arithmetic on the same float points, for
+        # the optimal partition the measurement picks.
+        rng = np.random.default_rng(16)
+        for _ in range(40):
+            m, k, d = int(rng.integers(4, 9)), int(rng.integers(2, 4)), int(rng.integers(1, 4))
+            data = Dataset(points=rng.standard_normal((m, d)) + offset)
+            ratio = measure_weak_deletion_stability(data, k)
+            part, _ = brute_force_optimum(data, k)
+            rows = [[Fraction(v) for v in row] for row in data.points.tolist()]
+            blocks = [part.members(j).tolist() for j in range(k)]
+            opt = exact_cost(rows, blocks)
+            merged = min(
+                exact_cost(rows, [blocks[j] + blocks[r]] + [b for t, b in enumerate(blocks) if t not in (j, r)])
+                for j in range(k) for r in range(j + 1, k)
+            )
+            assert abs(Fraction(ratio) - merged / opt) <= Fraction(1, 10**12) * merged / opt
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_at_most_two_cluster_stats_calls(self, k, monkeypatch):
+        # The merges come from the optimum's stats, not from re-costing
+        # each of the k(k-1) merged partitions.
+        data = Dataset(points=np.random.default_rng(17).standard_normal((9, 2)))
+        real = kmeans.cluster_stats
+        calls = [0]
+
+        def counted(*args):
+            calls[0] += 1
+            return real(*args)
+
+        monkeypatch.setattr(kmeans, "cluster_stats", counted)
+        monkeypatch.setattr(clusterability, "cluster_stats", counted)
+        measure_weak_deletion_stability(data, k)
+        assert calls[0] <= 2
+
+
+def exact_cost(rows, blocks):
+    # The k-means cost of the blocks of rows (lists of Fractions), exactly.
+    total = Fraction(0)
+    for block in blocks:
+        pts = [rows[i] for i in block]
+        mean = [sum(column) / len(pts) for column in zip(*pts)]
+        total += sum((x - c) ** 2 for p in pts for x, c in zip(p, mean))
+    return total
 
 
 def enumerate_every_trial(data, k, s, trials, seed):

@@ -13,7 +13,6 @@ from jlkit.errors import DegenerateDataError, DomainError, NumericalError
 from jlkit.geometry import sq_dist_matrix
 from jlkit.kmeans import (
     Partition,
-    balance_quotient,
     brute_force_optimum,
     brute_force_optimum_sq_dists,
     canonical_labels,
@@ -31,7 +30,6 @@ from jlkit.kmeans import (
     sandwich_trials,
     save_partition,
     var_merge,
-    var_merge_clusters,
 )
 from jlkit.projection import Dataset, build_operator, project
 
@@ -565,15 +563,6 @@ class TestVarMerge:
             via_identity = var_merge(n1, v1, c1.mean(0), n2, v2, c2.mean(0))
             assert via_identity == pytest.approx(direct, rel=1e-9, abs=1e-12)
 
-    def test_cluster_wrapper(self):
-        data = line_dataset(0, 1, 10, 11)
-        part = Partition(assignments=np.array([0, 0, 1, 1]), k=2)
-        merged = var_merge_clusters(data, part, 0, 1)
-        direct = float(np.mean((data.points - data.points.mean()) ** 2))
-        assert merged == pytest.approx(direct, rel=1e-12)
-        with pytest.raises(DomainError):
-            var_merge_clusters(data, part, 1, 1)
-
 
 class TestBalance:
     def test_symmetric_clusters(self):
@@ -587,19 +576,36 @@ class TestBalance:
         stats = cluster_stats(data, part)
         v = float(stats.variances[0])
         expected = 4.0 * v / 36.0
-        assert balance_quotient(stats, 0, 1) == pytest.approx(expected, rel=1e-9)
+        assert pair_balance(stats).per_pair[0, 1] == pytest.approx(expected, rel=1e-9)
         assert pair_balance(stats).p == pytest.approx(expected, rel=1e-9)
 
     def test_zero_variance_gives_zero(self):
         data = line_dataset(0, 0, 5, 5)
         stats = cluster_stats(data, Partition(assignments=np.array([0, 0, 1, 1]), k=2))
-        assert balance_quotient(stats, 0, 1) == 0.0
+        assert pair_balance(stats).per_pair[0, 1] == 0.0
 
     def test_coincident_centroids_error(self):
         data = line_dataset(0, 2, 1, 1)
         stats = cluster_stats(data, Partition(assignments=np.array([0, 0, 1, 1]), k=2))
         with pytest.raises(DegenerateDataError):
-            balance_quotient(stats, 0, 1)
+            pair_balance(stats).per_pair[0, 1]
+
+    def test_matches_per_pair_formula(self):
+        rng = np.random.default_rng(14)
+        for k in range(2, 7):
+            data = Dataset(points=rng.standard_normal((30, 4)) * rng.uniform(0.1, 10, size=4))
+            stats = cluster_stats(data, random_partition(rng, 30, k))
+            per_pair = pair_balance(stats).per_pair
+            for j1 in range(k):
+                for j2 in range(k):
+                    if j1 >= j2:
+                        assert np.isnan(per_pair[j1, j2])
+                        continue
+                    m1, m2 = int(stats.sizes[j1]), int(stats.sizes[j2])
+                    v1, v2 = float(stats.variances[j1]), float(stats.variances[j2])
+                    sq_gap = float(np.sum((stats.centroids[j1] - stats.centroids[j2]) ** 2))
+                    expected = (v1 * (m1 + m2) / m2 + v2 * (m1 + m2) / m1) / sq_gap
+                    assert per_pair[j1, j2] == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 class TestFixedPoint:
@@ -658,6 +664,38 @@ class TestMeasureGap:
         data, part = generate(spec)
         measured = measure_gap(data, part).g
         assert measured >= 1.0 - 0.05
+
+    def test_matches_pair_loop(self):
+        # Each ordered pair on its own: the unit vector toward B's centroid,
+        # the largest projection on it over A, divided by half the distance.
+        rng = np.random.default_rng(15)
+        for trial in range(60):
+            k = int(rng.integers(2, 6))
+            points = rng.standard_normal((40, 3)) + rng.integers(0, 3, size=(40, 1)) * 2.0
+            data = Dataset(points=points + (1e6 if trial % 3 == 0 else 0.0))
+            part = random_partition(rng, 40, k)
+            centroids = cluster_stats(data, part).centroids
+            alpha = np.full((k, k), np.nan)
+            halfdist = np.full((k, k), np.nan)
+            for a in range(k):
+                pts = data.points[part.members(a)] - centroids[a]
+                for b in range(k):
+                    if a != b:
+                        direction = centroids[b] - centroids[a]
+                        dist = float(np.linalg.norm(direction))
+                        halfdist[a, b] = dist / 2.0
+                        proj = pts @ (direction / dist)
+                        alpha[a, b] = min(1.0, max(0.0, float(proj.max()) / halfdist[a, b]))
+            gap = measure_gap(data, part)
+            np.testing.assert_allclose(gap.per_pair_alpha, alpha, rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(gap.d_halfdist, halfdist, rtol=1e-12, atol=0.0)
+            assert gap.g == pytest.approx(2.0 * (1.0 - np.nanmax(alpha)), rel=0.0, abs=1e-12)
+
+    def test_coincident_centroids_error(self):
+        data = line_dataset(0, 2, 5, 1, 1, 7)
+        part = Partition(assignments=np.array([0, 0, 1, 2, 2, 1]), k=3)
+        with pytest.raises(DegenerateDataError, match="clusters 0 and 2"):
+            measure_gap(data, part)
 
 
 class TestCostSandwich:
