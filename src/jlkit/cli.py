@@ -32,6 +32,13 @@ def _print_config(command: str, args: argparse.Namespace, **extra) -> None:
     print("config:", command, " ".join(f"{k}={v}" for k, v in fields.items()), flush=True)
 
 
+def _seed(text: str) -> int:
+    # Every seed option: numpy refuses a negative seed with a traceback.
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _resolve_n_prime(args, m: int, n: int) -> int:
     if args.nprime is not None:
         return args.nprime
@@ -46,7 +53,7 @@ def _resolve_n_prime(args, m: int, n: int) -> int:
         # The n-free bound is no reduction at all here; refine with the
         # n-aware bound over the valid domain instead.
         print(f"note: explicit n'={explicit} >= n={n}; using the n-dependent bound", flush=True)
-    return dimension.implicit_dimension(m, args.epsilon, args.delta, n, strict=True)
+    return dimension.implicit_dimension(m, args.epsilon, args.delta, n)
 
 
 def _cmd_dim(args) -> int:
@@ -117,7 +124,7 @@ def _cmd_verify(args) -> int:
     if args.histogram:
         geometry.export_histogram(report, args.histogram)
         print(f"histogram -> {args.histogram}")
-    if args.estimate_trials:
+    if args.estimate_trials is not None:
         est = geometry.estimate_failure_rate(
             original, projected.dim, args.delta, args.estimate_trials, args.base_seed
         )
@@ -212,7 +219,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reproduce", help="regenerate a published table or figure dataset")
     p.add_argument("id", choices=reproduce.TABLE_IDS + reproduce.FIGURE_IDS)
     p.add_argument("--out", default=None, help="output CSV path (default <id>.csv)")
-    p.add_argument("--seed", type=int, default=None, help="override the fig-distortion seed")
+    p.add_argument("--seed", type=_seed, default=None, help="override the fig-distortion seed")
     p.set_defaults(func=_cmd_reproduce)
 
     p = sub.add_parser("gen", help="generate a synthetic mixture instance")
@@ -222,7 +229,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--distance", type=float, default=10.0, help="pairwise centre distance")
     p.add_argument("--sigma", type=float, default=1.0, help="isotropic cluster spread")
     p.add_argument("--gap", type=float, default=1.0, help="target relative gap in (0, 2]")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--partition-out", default=None)
     p.add_argument("--format", choices=["binary", "csv"], default="binary")
@@ -231,7 +238,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("project", help="project a dataset with a seeded operator")
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--nprime", type=int, default=None, help="default: from --epsilon/--delta")
     p.add_argument("--epsilon", type=float, default=None)
     p.add_argument("--delta", type=float, default=None)
@@ -248,7 +255,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--histogram", default=None, help="write quotient histogram CSV")
     p.add_argument("--estimate-trials", type=int, default=None,
                    help="Monte-Carlo failure-rate estimate with this many fresh projections")
-    p.add_argument("--base-seed", type=int, default=0)
+    p.add_argument("--base-seed", type=_seed, default=0)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("kmeans-compare", help="cost-sandwich and fixed-point harnesses")
@@ -259,7 +266,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nprime", type=int, default=None)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--partitions", type=int, default=20, help="random partitions per trial")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default=None, help="per-trial results CSV")
     p.set_defaults(func=_cmd_kmeans_compare)
 
@@ -271,7 +278,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, default=None)
     p.add_argument("--nprime", type=int, default=None)
     p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default=None, help="transport report CSV")
     p.set_defaults(func=_cmd_clusterability)
 

@@ -133,24 +133,20 @@ def _domain_edge(n: int, delta: float) -> int:
     return edge
 
 
-def implicit_dimension(m: int, epsilon: float, delta: float, n: int, strict: bool = False) -> int:
+def implicit_dimension(m: int, epsilon: float, delta: float, n: int) -> int:
     """Smallest n' whose union tail bound over all point pairs is <= epsilon.
 
     Solves C(m,2) * pair_failure_bound(n', n, delta) <= epsilon by
-    bisection over [2, explicit_dimension + 1] in the log domain.  The
-    explicit bound is provably sufficient, so it caps the search; the
-    refinement is therefore never worse than the closed form.
+    bisection in the log domain over [2, min(explicit_dimension + 1, edge)],
+    edge being the largest n' with n' (1 + delta) < n, where the tail bound
+    is defined.  The explicit bound is provably sufficient, so it caps the
+    search; the refinement is therefore never worse than the closed form.
+    Raises ``InfeasibleError`` when nothing in that range satisfies the bound.
 
     Bisection is sound: the left side falls strictly in n' over the whole
     domain.  With y = 1 -/+ n' delta / (n - n'), each tail's log has slope
     (ln(1 +/- delta) + 1 - (1 +/- delta) / y - ln y) / 2 in n', which is at
     most (ln(1 +/- delta) -/+ delta) / 2 < 0, its value at n' = 0.
-
-    When the cap itself lies beyond the domain of the tail bound
-    (n' * (1+delta) >= n), the refinement step is skipped and the cap is
-    returned as-is, matching the published reference tables.  Pass
-    ``strict=True`` to instead search the full valid domain
-    [2, floor(n/(1+delta)) - 1] and fail if nothing satisfies the bound.
     """
     log_pairs = math.log(m) + math.log(m - 1) - math.log(2.0)
     threshold = math.log(epsilon) - log_pairs
@@ -158,15 +154,10 @@ def implicit_dimension(m: int, epsilon: float, delta: float, n: int, strict: boo
     def satisfied(n_prime: int) -> bool:
         return _log_pair_failure_bound(float(n_prime), float(n), delta) <= threshold
 
-    cap = explicit_dimension(m, epsilon, delta) + 1
     edge = _domain_edge(n, delta)
     if edge < 2:
         raise DomainError(f"no valid target dimension below n={n} at delta={delta}")
-    hi = min(cap, edge) if strict else cap
-    if hi > edge:
-        # Tail bound cannot certify anything at or above the explicit cap.
-        return cap
-
+    hi = min(explicit_dimension(m, epsilon, delta) + 1, edge)
     if not satisfied(hi):
         boundary = math.exp(log_pairs + _log_pair_failure_bound(float(hi), float(n), delta))
         raise InfeasibleError(

@@ -433,6 +433,8 @@ def sandwich_trials(
     """
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials}")
+    if not 0.0 < delta < 0.5:
+        raise DomainError(f"delta must lie in (0, 1/2), got {delta}")
     n = data.dim
     stats_orig = [cluster_stats(data, p) for p in partitions]
     records = []

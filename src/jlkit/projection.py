@@ -131,15 +131,24 @@ def save_dataset(data: Dataset, path: str, fmt: str = "binary") -> None:
         raise DomainError(f"unknown dataset format {fmt!r}")
 
 
+def _is_number(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
 def load_dataset(path: str) -> Dataset:
-    """Read a dataset file, auto-detecting binary magic vs CSV (header optional).
+    """Read a dataset file, auto-detecting binary magic vs CSV.
 
     A regular binary file must hold at least the 8*m*d data bytes its
     header's (m, d) implies (later bytes are ignored); that is checked
     before the m x d array is allocated, so a corrupt header is a
     ``ShapeError``, not a huge allocation.  A pipe has no size to check and
     is read up to the data's end, a short read being a ``ShapeError``.  So
-    is a CSV cell that is not a number or a CSV row of another length.
+    is a CSV cell that is not a number or a CSV row of another length; only
+    a first row without a single number in it is skipped, as a header.
     """
     with open(path, "rb") as fh:
         head = fh.read(len(_MAGIC))
@@ -160,14 +169,10 @@ def load_dataset(path: str) -> Dataset:
                 raise ShapeError(f"truncated binary dataset: expected {m}x{d} float64")
             return Dataset(points=points)
     with open(path) as fh:
-        first = fh.readline()
-    skip = 0
+        first = fh.readline().strip().split(",")
+    header = not any(_is_number(cell) for cell in first)
     try:
-        [float(tok) for tok in first.strip().split(",")]
-    except ValueError:
-        skip = 1
-    try:
-        points = np.loadtxt(path, delimiter=",", ndmin=2, skiprows=skip)
+        points = np.loadtxt(path, delimiter=",", ndmin=2, skiprows=int(header))
     except ValueError as err:
         raise ShapeError(f"malformed CSV dataset {path}: {err}") from None
     return Dataset(points=points)

@@ -27,21 +27,30 @@ from .projection import Dataset, build_operator, project
 
 __all__ = ["TABLE_IDS", "FIGURE_IDS", "reproduce", "write_csv"]
 
-# Baseline parameters shared by the sweeps.
-_BASE_M = 2_000_000
-_BASE_EPSILON = 0.01
-_BASE_DELTA = 0.05
-_BASE_N = 500_000
-
-_M_SWEEP = [
-    10, 20, 50, 100, 200, 500, 1_000, 2_000, 5_000,
-    10_000, 20_000, 50_000, 100_000, 200_000, 500_000,
-    1_000_000, 2_000_000, 5_000_000, 10_000_000, 20_000_000,
-    50_000_000, 100_000_000,
-]
-_EPS_SWEEP = [0.1, 0.05, 0.02, 0.01, 0.005, 0.002, 0.001]
-_DELTA_SWEEP = [0.5, 0.4, 0.3, 0.2, 0.1, 0.09, 0.08, 0.07, 0.06, 0.05, 0.04, 0.03, 0.02, 0.01]
-_N_SWEEP = [400_000, 500_000, 600_000, 700_000, 800_000, 900_000, 1_000_000]
+# Baseline parameters shared by the sweeps, and the grid of each swept one.
+_BASE = dict(m=2_000_000, epsilon=0.01, delta=0.05, n=500_000)
+_GRIDS = dict(
+    m=[
+        10, 20, 50, 100, 200, 500, 1_000, 2_000, 5_000,
+        10_000, 20_000, 50_000, 100_000, 200_000, 500_000,
+        1_000_000, 2_000_000, 5_000_000, 10_000_000, 20_000_000,
+        50_000_000, 100_000_000,
+    ],
+    epsilon=[0.1, 0.05, 0.02, 0.01, 0.005, 0.002, 0.001],
+    delta=[0.5, 0.4, 0.3, 0.2, 0.1, 0.09, 0.08, 0.07, 0.06, 0.05, 0.04, 0.03, 0.02, 0.01],
+    n=[400_000, 500_000, 600_000, 700_000, 800_000, 900_000, 1_000_000],
+)
+# Each dimension sweep: its swept parameter and the columns after n' implicit.
+_RATIO = ["explicit/implicit"]
+_REPEAT = ["Gupta n'", "Their Repetitions", "Our n' to their n'"]
+_SWEEPS = {
+    "table1": ("m", _RATIO), "table2": ("epsilon", _RATIO),
+    "table3": ("delta", _RATIO), "table4": ("n", _RATIO),
+    "table5": ("m", _REPEAT), "table6": ("epsilon", _REPEAT),
+    "table7": ("delta", _REPEAT), "table8": ("n", _REPEAT),
+    "fig-samplesize": ("m", []), "fig-epsilon": ("epsilon", []),
+    "fig-delta": ("delta", []), "fig-orign": ("n", []),
+}
 
 _DISTORTION_PARAMS = dict(m=5_000, epsilon=0.1, delta=0.2, n=5_000, seed=1)
 _GAP_P_VALUES = [0.5, 1.0, 2.0]
@@ -50,64 +59,24 @@ TABLE_IDS = [f"table{i}" for i in range(1, 9)]
 FIGURE_IDS = ["fig-samplesize", "fig-epsilon", "fig-delta", "fig-orign", "fig-distortion", "fig-gap"]
 
 
-def _round2(x: float) -> str:
-    return f"{round(x, 2):g}"
-
-
-def _ceil1(x: float) -> str:
-    return f"{math.ceil(x * 10.0) / 10.0:g}"
-
-
-def _dimension_rows(params):
+def _sweep_table(ident: str):
+    swept, extra = _SWEEPS[ident]
     rows = []
-    for m, eps, delta, n in params:
+    for x in _GRIDS[swept]:
+        m, eps, delta, n = {**_BASE, swept: x}.values()
         explicit = explicit_dimension(m, eps, delta)
-        implicit = implicit_dimension(m, eps, delta, n)
-        rows.append((m, eps, delta, n, explicit, implicit))
-    return rows
-
-
-def _sweep(table: str):
-    if table in ("table1", "table5", "fig-samplesize"):
-        return [(m, _BASE_EPSILON, _BASE_DELTA, _BASE_N) for m in _M_SWEEP], "m", 0
-    if table in ("table2", "table6", "fig-epsilon"):
-        return [(_BASE_M, e, _BASE_DELTA, _BASE_N) for e in _EPS_SWEEP], "epsilon", 1
-    if table in ("table3", "table7", "fig-delta"):
-        return [(_BASE_M, _BASE_EPSILON, d, _BASE_N) for d in _DELTA_SWEEP], "delta", 2
-    if table in ("table4", "table8", "fig-orign"):
-        return [(_BASE_M, _BASE_EPSILON, _BASE_DELTA, n) for n in _N_SWEEP], "n", 3
-    raise DomainError(f"unknown reproduction id {table!r}")
-
-
-def _dimension_table(table: str):
-    params, label, col = _sweep(table)
-    header = [label, "n' explicit", "n' implicit", "explicit/implicit"]
-    rows = []
-    for rec in _dimension_rows(params):
-        explicit, implicit = rec[4], rec[5]
-        rows.append([rec[col], explicit, implicit, _round2(explicit / implicit)])
-    return header, rows
-
-
-def _comparison_table(table: str):
-    params, label, col = _sweep(table)
-    header = [label, "n' explicit", "n' implicit", "Gupta n'", "Their Repetitions",
-              "Our n' to their n'"]
-    rows = []
-    for rec in _dimension_rows(params):
-        m, eps, delta = rec[0], rec[1], rec[2]
-        explicit, implicit = rec[4], rec[5]
-        gupta = dg_n_prime(m, delta)
-        reps = dg_repetitions(m, eps)
-        rows.append([rec[col], explicit, implicit, gupta, reps, _ceil1(implicit / gupta)])
-    return header, rows
-
-
-def _figure_sweep(fig: str):
-    params, label, col = _sweep(fig)
-    header = [label, "n' explicit", "n' implicit"]
-    rows = [[rec[col], rec[4], rec[5]] for rec in _dimension_rows(params)]
-    return header, rows
+        # Where the explicit cap lies outside the tail bound's domain
+        # n' (1 + delta) < n, the paper prints the cap, not the solver's n'.
+        capped = (explicit + 1) * (1.0 + delta) >= n
+        implicit = explicit + 1 if capped else implicit_dimension(m, eps, delta, n)
+        row = [x, explicit, implicit]
+        if extra == _RATIO:
+            row.append(f"{round(explicit / implicit, 2):g}")
+        elif extra == _REPEAT:
+            gupta = dg_n_prime(m, delta)
+            row += [gupta, dg_repetitions(m, eps), f"{math.ceil(implicit / gupta * 10.0) / 10.0:g}"]
+        rows.append(row)
+    return [swept, "n' explicit", "n' implicit"] + extra, rows
 
 
 def _figure_gap():
@@ -139,12 +108,8 @@ def reproduce(ident: str):
     is file-only (the histogram depends on a full projection run) and is
     handled by ``write_csv`` directly.
     """
-    if ident in ("table1", "table2", "table3", "table4"):
-        return _dimension_table(ident)
-    if ident in ("table5", "table6", "table7", "table8"):
-        return _comparison_table(ident)
-    if ident in ("fig-samplesize", "fig-epsilon", "fig-delta", "fig-orign"):
-        return _figure_sweep(ident)
+    if ident in _SWEEPS:
+        return _sweep_table(ident)
     if ident == "fig-gap":
         return _figure_gap()
     if ident == "fig-distortion":

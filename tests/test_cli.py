@@ -8,6 +8,7 @@ from jlkit import kmeans
 from jlkit.cli import main
 from jlkit.geometry import estimate_failure_rate
 from jlkit.projection import Dataset, build_operator, load_dataset, project, save_dataset
+from tests.test_dimension import mp_pair_bound
 from tests.test_kmeans import shifted_mixture
 
 
@@ -41,6 +42,24 @@ class TestDim:
         assert code == 2
         assert "error" in err
 
+    def test_capped_row_solved_below_n(self, capsys):
+        # The published table prints the explicit cap 1,353,859 at these
+        # parameters; the solver finds a smaller n' inside the bound's domain.
+        code, out, _ = run(
+            capsys, "dim", "--m", "2000000", "--epsilon", "0.01", "--delta", "0.01", "--n", "500000",
+        )
+        assert code == 0
+        implicit = int(out.split("n' implicit: ")[1].split()[0])
+        assert implicit < 500_000 / 1.01
+        assert 2_000_000 * 1_999_999 / 2 * mp_pair_bound(implicit, 500_000, 0.01) <= 0.01
+
+    def test_infeasible_exit_2(self, capsys):
+        # At n = 10 no n' below n/(1+delta) makes 45 pairs fail with probability <= 0.01.
+        code, _, err = run(capsys, "dim", "--m", "10", "--epsilon", "0.01", "--delta", "0.05",
+                           "--n", "10")
+        assert code == 2
+        assert err.startswith("error: no n' <= ")
+
 
 class TestReproduce:
     def test_table_to_csv(self, capsys, tmp_path):
@@ -56,6 +75,21 @@ class TestReproduce:
         with pytest.raises(SystemExit) as exc:
             run(capsys, "reproduce", "table99")
         assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("gen", "--k", "1", "--sizes", "3", "--dim", "2", "--out", "out.bin"),
+    ("kmeans-compare", "--input", "data.bin", "--k", "2", "--delta", "0.2", "--nprime", "2"),
+    ("reproduce", "fig-distortion", "--out", "out.csv"),
+], ids=["gen", "kmeans-compare", "fig-distortion"])
+def test_negative_seed_exit_2(capsys, tmp_path, monkeypatch, argv):
+    # Refused while parsing, before any clustering or projection.
+    monkeypatch.chdir(tmp_path)
+    save_dataset(Dataset(points=np.random.default_rng(0).standard_normal((6, 4))), "data.bin")
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, *argv, "--seed", "-1")
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
 
 
 class TestPipeline:
@@ -97,6 +131,20 @@ class TestPipeline:
         assert "violations: 0" in out
         with open(hist_path, newline="") as fh:
             assert next(csv.reader(fh)) == ["bin_lo", "bin_hi", "count"]
+
+    def test_dim_prints_the_resolved_n_prime(self, capsys, tmp_path):
+        # The explicit n' (1187) exceeds n = 400; dim and project agree on the implicit one.
+        data_path = str(tmp_path / "data.bin")
+        run(capsys, "gen", "--k", "2", "--sizes", "30,30", "--dim", "400", "--distance", "10",
+            "--sigma", "1", "--gap", "1", "--seed", "7", "--out", data_path)
+        code, out, _ = run(capsys, "project", "--input", data_path, "--out", str(tmp_path / "p.bin"),
+                           "--epsilon", "0.1", "--delta", "0.2")
+        assert code == 0
+        resolved = out.split("resolved_nprime=")[1].split()[0]
+        code, out, _ = run(capsys, "dim", "--m", "60", "--epsilon", "0.1", "--delta", "0.2",
+                           "--n", "400")
+        assert code == 0
+        assert f"n' implicit: {resolved}\n" in out
 
     def test_translated_dataset_same_verdict(self, capsys, tmp_path):
         # Tight clusters (sigma 0.01) moved to +1e5: every pair's squared
@@ -165,6 +213,15 @@ class TestPipeline:
             assert code == 2
             assert err.startswith("error: malformed CSV dataset")
 
+    def test_malformed_first_csv_row_exit_2(self, capsys, tmp_path):
+        # A first row with a number in it is data, not a header to drop.
+        path = str(tmp_path / "bad.csv")
+        with open(path, "w") as fh:
+            fh.write("1,x\n3,4\n")
+        code, _, err = run(capsys, "verify", "--original", path, "--projected", path, "--delta", "0.1")
+        assert code == 2
+        assert err.startswith("error: malformed CSV dataset")
+
     def test_gen_non_integer_sizes_exit_2(self, capsys, tmp_path):
         code, _, err = run(capsys, "gen", "--k", "2", "--sizes", "3,x", "--dim", "3",
                            "--out", str(tmp_path / "g.bin"))
@@ -198,6 +255,17 @@ class TestPipeline:
         assert 0.0 < lo < 1.0 < hi
 
 
+    def test_verify_zero_estimate_trials_exit_2(self, capsys, tmp_path):
+        a, b = str(tmp_path / "a.bin"), str(tmp_path / "b.bin")
+        data = Dataset(points=np.random.default_rng(5).standard_normal((10, 60)))
+        save_dataset(data, a)
+        save_dataset(Dataset(points=data.points[:, :20]), b)
+        code, _, err = run(capsys, "verify", "--original", a, "--projected", b, "--delta", "0.3",
+                           "--estimate-trials", "0")
+        assert code == 2
+        assert err.startswith("error: trials")
+
+
 class TestKmeansCompare:
     def test_translated_data_exit_0(self, capsys, tmp_path):
         data_path = str(tmp_path / "shifted.bin")
@@ -215,6 +283,16 @@ class TestKmeansCompare:
             "--distance", "12", "--sigma", "1", "--gap", "1", "--seed", "1",
             "--out", data_path)
         return data_path
+
+    @pytest.mark.parametrize("delta", ["nan", "0.7"])
+    def test_delta_outside_domain_exit_2(self, capsys, tmp_path, delta):
+        data_path = self._mixture(capsys, tmp_path)
+        code, _, err = run(
+            capsys, "kmeans-compare", "--input", data_path, "--k", "2", "--delta", delta,
+            "--nprime", "20", "--trials", "2", "--partitions", "1",
+        )
+        assert code == 2
+        assert err.startswith("error: delta must lie in (0, 1/2)")
 
     def test_csv_matches_fresh_stats(self, capsys, tmp_path):
         # Every CSV byte from stats computed afresh for each use.

@@ -748,6 +748,12 @@ class TestCostSandwich:
         with pytest.raises(DomainError):
             sandwich_trials(data, partitions, 10, 0.1, trials=0, base_seed=7)
 
+    @pytest.mark.parametrize("delta", [float("nan"), 0.0, 0.5, 0.7])
+    def test_trials_delta_domain(self, delta):
+        data = Dataset(points=np.random.default_rng(13).standard_normal((8, 30)))
+        with pytest.raises(DomainError, match="delta"):
+            sandwich_trials(data, [random_partition(np.random.default_rng(1), 8, 2)], 10, delta, 1, 0)
+
 
 class TestGlobalTransfer:
     def test_k_equals_m(self):

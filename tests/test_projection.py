@@ -179,6 +179,14 @@ class TestFileFormats:
         assert back.points.shape == (2, 3)
         assert back.points[0, 2] == -3.25
 
+    def test_csv_first_row_with_a_number_is_data(self, tmp_path):
+        # Not a header: its non-numeric cell is rejected like one on any later row.
+        path = str(tmp_path / "bad.csv")
+        with open(path, "w") as fh:
+            fh.write("1,x\n3,4\n")
+        with pytest.raises(ShapeError, match="malformed CSV dataset"):
+            load_dataset(path)
+
     def test_truncated_binary_rejected(self, tmp_path):
         path = str(tmp_path / "bad.bin")
         with open(path, "wb") as fh:
