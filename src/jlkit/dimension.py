@@ -130,6 +130,8 @@ def _domain_edge(n: int, delta: float) -> int:
     edge = int(n / (1.0 + delta))
     while edge * (1.0 + delta) >= n:
         edge -= 1
+    while (edge + 1) * (1.0 + delta) < n:
+        edge += 1
     return edge
 
 

@@ -65,7 +65,8 @@ def union_bound_oracle(swept, x):
     """(lhs, epsilon) at a table row, lhs(n') = C(m,2) * B(n') at 60 digits.
 
     lhs is None where the tail bound is undefined, n'(1+delta) >= n: the
-    capped row, where the refinement is skipped and the cap returned.
+    capped row, where the table builder prints the explicit cap (the
+    paper's convention).
     """
     params = dict(DIMENSION_BASELINE, **{swept: x})
     m, delta, n = params["m"], params["delta"], params["n"]

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from jlkit.dimension import (
     DimensionRequest,
+    _domain_edge,
     _log_pair_failure_bound,
     denominator,
     dg_n_prime,
@@ -185,15 +186,20 @@ class TestImplicit:
         # bisection lands on the boundary: n' lies in the bound's domain,
         # satisfies the log-domain bound and n'-1 does not, unless n' = 2.
         # Where nothing in the domain below the explicit cap does, the
-        # solver refuses.
+        # solver refuses; that can happen only on capped draws.
         threshold = math.log(eps) - (math.log(m) + math.log(m - 1) - math.log(2.0))
 
         def satisfied(n_prime):
             return _log_pair_failure_bound(float(n_prime), float(n), delta) <= threshold
 
+        explicit = explicit_dimension(m, eps, delta)
         try:
             got = implicit_dimension(m, eps, delta, n)
         except InfeasibleError:
+            # A refusal is allowed only where the explicit cap lies outside
+            # the bound's domain, and only if the bracket end really fails.
+            assert (explicit + 1) * (1.0 + delta) >= n
+            assert not satisfied(min(explicit + 1, _domain_edge(n, delta)))
             return
         assert got * (1.0 + delta) < n
         assert satisfied(got)
