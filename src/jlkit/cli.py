@@ -39,26 +39,37 @@ def _seed(text: str) -> int:
     return int(text)
 
 
-def _resolve_n_prime(args, m: int, n: int) -> int:
+def _check_delta(delta: float) -> None:
+    # The guarantee's domain; explicit_dimension also takes delta < 1 for the published sweeps.
+    if not 0.0 < delta < 0.5:
+        raise DomainError(f"delta must lie in (0, 1/2), got {delta}")
+
+
+def _resolve_n_prime(args, m: int, n: int) -> tuple[int, bool]:
+    """n' and whether its operator needs orthonormal rows.
+
+    The n-aware bound is the tail bound of an orthogonal projection, so an
+    n' taken from it comes with orthonormal rows; an explicit or --nprime
+    n' comes with normalized rows.
+    """
     if args.nprime is not None:
-        return args.nprime
+        return args.nprime, False
     if args.epsilon is None or args.delta is None:
         raise JlkitError("give --nprime, or --epsilon and --delta for the automatic dimension")
-    # Sanity-check the domain once through the request type.
-    dimension.DimensionRequest(m=m, epsilon=args.epsilon, delta=args.delta, n=n)
+    _check_delta(args.delta)
     if not getattr(args, "implicit", False):
         explicit = dimension.explicit_dimension(m, args.epsilon, args.delta)
         if explicit < n:
-            return explicit
+            return explicit, False
         # The n-free bound is no reduction at all here; refine with the
         # n-aware bound over the valid domain instead.
         print(f"note: explicit n'={explicit} >= n={n}; using the n-dependent bound", flush=True)
-    return dimension.implicit_dimension(m, args.epsilon, args.delta, n)
+    return dimension.implicit_dimension(m, args.epsilon, args.delta, n), True
 
 
 def _cmd_dim(args) -> int:
     _print_config("dim", args)
-    dimension.DimensionRequest(m=args.m, epsilon=args.epsilon, delta=args.delta, n=args.n)
+    _check_delta(args.delta)
     explicit = dimension.explicit_dimension(args.m, args.epsilon, args.delta)
     print(f"n' explicit: {explicit}")
     if args.n is not None:
@@ -101,9 +112,10 @@ def _cmd_gen(args) -> int:
 
 def _cmd_project(args) -> int:
     data = load_dataset(args.input)
-    n_prime = _resolve_n_prime(args, m=data.m, n=data.dim)
-    _print_config("project", args, m=data.m, n=data.dim, resolved_nprime=n_prime)
-    op = build_operator(data.dim, n_prime, args.seed, orthonormalize=args.orthonormal)
+    n_prime, orthonormal = _resolve_n_prime(args, m=data.m, n=data.dim)
+    _print_config("project", args, m=data.m, n=data.dim, resolved_nprime=n_prime,
+                  operator="orthonormal" if orthonormal else "normalized")
+    op = build_operator(data.dim, n_prime, args.seed, orthonormalize=orthonormal)
     save_dataset(project(op, data), args.out, fmt=args.format)
     print(f"projected: {data.m} x {n_prime} -> {args.out} (distance scale {op.scale:.6f})")
     if args.save_operator:
@@ -139,8 +151,10 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_kmeans_compare(args) -> int:
+    if args.partitions < 0:
+        raise DomainError(f"--partitions must be >= 0, got {args.partitions}")
     data = load_dataset(args.input)
-    n_prime = _resolve_n_prime(args, m=data.m, n=data.dim)
+    n_prime, _ = _resolve_n_prime(args, m=data.m, n=data.dim)
     _print_config("kmeans-compare", args, m=data.m, n=data.dim, resolved_nprime=n_prime)
     lloyd_partition, lloyd_stats = kmeans.lloyd(data, args.k, init=args.seed)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=args.seed, spawn_key=(1,)))
@@ -166,7 +180,7 @@ def _cmd_kmeans_compare(args) -> int:
 
 def _cmd_clusterability(args) -> int:
     data = load_dataset(args.input)
-    n_prime = _resolve_n_prime(args, m=data.m, n=data.dim)
+    n_prime, _ = _resolve_n_prime(args, m=data.m, n=data.dim)
     _print_config("clusterability", args, m=data.m, n=data.dim, resolved_nprime=n_prime)
     sigma = clus.measure_sigma_separatedness(data, args.k)
     opt_partition, _ = kmeans.brute_force_optimum(data, args.k)
@@ -242,8 +256,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nprime", type=int, default=None, help="default: from --epsilon/--delta")
     p.add_argument("--epsilon", type=float, default=None)
     p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--implicit", action="store_true", help="derive n' by the n-dependent bound")
-    p.add_argument("--orthonormal", action="store_true", help="orthonormalize operator rows")
+    p.add_argument("--implicit", action="store_true", help="n' by the n-dependent bound, orthonormal rows")
     p.add_argument("--save-operator", default=None)
     p.add_argument("--format", choices=["binary", "csv"], default="binary")
     p.set_defaults(func=_cmd_project)

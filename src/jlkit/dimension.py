@@ -25,12 +25,10 @@ is about.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import DomainError, InfeasibleError
 
 __all__ = [
-    "DimensionRequest",
     "denominator",
     "explicit_dimension",
     "pair_failure_bound",
@@ -39,32 +37,6 @@ __all__ = [
     "dg_repetitions",
     "gap_delta_bound",
 ]
-
-
-@dataclass(frozen=True)
-class DimensionRequest:
-    """Parameters driving every dimension formula.
-
-    m        number of points (>= 2)
-    epsilon  failure probability, in (0, 1)
-    delta    relative error on squared distances, in (0, 1/2)
-    n        original dimension; only needed for the implicit bound
-    """
-
-    m: int
-    epsilon: float
-    delta: float
-    n: int | None = None
-
-    def __post_init__(self):
-        if self.m < 2:
-            raise DomainError(f"m must be >= 2, got {self.m}")
-        if not 0.0 < self.epsilon < 1.0:
-            raise DomainError(f"epsilon must lie in (0, 1), got {self.epsilon}")
-        if not 0.0 < self.delta < 0.5:
-            raise DomainError(f"delta must lie in (0, 1/2), got {self.delta}")
-        if self.n is not None and self.n < 2:
-            raise DomainError(f"n must be >= 2 when given, got {self.n}")
 
 
 def denominator(delta: float) -> float:
@@ -82,9 +54,9 @@ def denominator(delta: float) -> float:
 def explicit_dimension(m: int, epsilon: float, delta: float) -> int:
     """Sufficient n' = ceil(2 (-ln eps + 2 ln m) / D(delta)), independent of n.
 
-    The guarantee is stated for delta < 1/2 (what DimensionRequest checks);
-    delta in (0, 1) is accepted so the published sweeps, which touch
-    delta = 0.5, can be regenerated.
+    The guarantee is stated for delta < 1/2 (what the CLI checks); delta
+    in (0, 1) is accepted so the published sweeps, which touch delta = 0.5,
+    can be regenerated.
     """
     if m < 2:
         raise DomainError(f"m must be >= 2, got {m}")
@@ -150,6 +122,7 @@ def implicit_dimension(m: int, epsilon: float, delta: float, n: int) -> int:
     (ln(1 +/- delta) + 1 - (1 +/- delta) / y - ln y) / 2 in n', which is at
     most (ln(1 +/- delta) -/+ delta) / 2 < 0, its value at n' = 0.
     """
+    explicit = explicit_dimension(m, epsilon, delta)  # checks m, epsilon and delta
     log_pairs = math.log(m) + math.log(m - 1) - math.log(2.0)
     threshold = math.log(epsilon) - log_pairs
 
@@ -159,7 +132,7 @@ def implicit_dimension(m: int, epsilon: float, delta: float, n: int) -> int:
     edge = _domain_edge(n, delta)
     if edge < 2:
         raise DomainError(f"no valid target dimension below n={n} at delta={delta}")
-    hi = min(explicit_dimension(m, epsilon, delta) + 1, edge)
+    hi = min(explicit + 1, edge)
     if not satisfied(hi):
         boundary = math.exp(log_pairs + _log_pair_failure_bound(float(hi), float(n), delta))
         raise InfeasibleError(

@@ -201,8 +201,8 @@ def distortion_report(original: Dataset, projected: Dataset, delta: float) -> Di
         raise ShapeError(f"point counts differ: {original.m} vs {projected.m}")
     if projected.dim > original.dim:
         raise ShapeError(f"projected dimension {projected.dim} exceeds original {original.dim}")
-    if not 0.0 < delta:
-        raise DomainError(f"delta must be positive, got {delta}")
+    if not 0.0 < (1.0 + delta) - (1.0 - delta) < math.inf:
+        raise DomainError(f"delta must give the band a positive finite width, got {delta}")
     m = original.m
     pair_count = m * (m - 1) // 2
     adjust = original.dim / projected.dim

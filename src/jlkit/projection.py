@@ -88,8 +88,8 @@ def build_operator(n: int, n_prime: int, seed: int, orthonormalize: bool = False
 
     Deterministic in (n, n_prime, seed).  With ``orthonormalize=True`` the
     rows are additionally orthonormalized (QR with a deterministic sign
-    fix), for measuring whether the distinction matters empirically; the
-    default keeps the plain normalized construction.
+    fix): the n-dependent bound of ``dimension.implicit_dimension`` is
+    that of an orthogonal projection and holds for these rows only.
     """
     if not 0 < n_prime < n:
         raise ShapeError(f"need 0 < n' < n, got n'={n_prime}, n={n}")

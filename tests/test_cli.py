@@ -1,4 +1,5 @@
 import csv
+import json
 import struct
 
 import numpy as np
@@ -6,8 +7,9 @@ import pytest
 
 from jlkit import kmeans
 from jlkit.cli import main
+from jlkit.dimension import explicit_dimension, implicit_dimension
 from jlkit.geometry import estimate_failure_rate
-from jlkit.projection import Dataset, build_operator, load_dataset, project, save_dataset
+from jlkit.projection import Dataset, build_operator, load_dataset, load_operator, project, save_dataset
 from tests.test_dimension import mp_pair_bound
 from tests.test_kmeans import shifted_mixture
 
@@ -110,13 +112,10 @@ class TestPipeline:
         assert data.m == 60 and data.dim == 400
 
         # Explicit n' at m=60, eps=0.1, delta=0.2 exceeds n=400, so the
-        # n-aware bound takes over.  That bound assumes an orthogonal
-        # coordinate system; at n'/n ~ 0.74 plain normalized rows visibly
-        # miss it, so the orthonormal variant is the right tool here.
+        # n-aware bound takes over, and with it orthonormal rows.
         code, out, _ = run(
             capsys, "project", "--input", data_path, "--out", proj_path,
             "--epsilon", "0.1", "--delta", "0.2", "--seed", "3",
-            "--orthonormal",
         )
         assert code == 0
         projected = load_dataset(proj_path)
@@ -146,6 +145,45 @@ class TestPipeline:
         assert code == 0
         assert f"n' implicit: {resolved}\n" in out
 
+    def test_n_aware_route_holds_the_band(self, capsys, tmp_path):
+        # The n-aware bound is that of an orthogonal projection: at n' = 299
+        # normalized rows miss the band here on every seed.
+        data_path = str(tmp_path / "data.bin")
+        run(capsys, "gen", "--k", "2", "--sizes", "30,30", "--dim", "400", "--distance", "10",
+            "--sigma", "1", "--gap", "1", "--seed", "7", "--out", data_path)
+        for seed in range(10):
+            proj_path = str(tmp_path / f"proj{seed}.bin")
+            code, out, _ = run(capsys, "project", "--input", data_path, "--out", proj_path,
+                               "--epsilon", "0.1", "--delta", "0.2", "--seed", str(seed))
+            assert code == 0
+            config = out.split("config: project ")[1].splitlines()[0].split()
+            assert "resolved_nprime=299" in config and "operator=orthonormal" in config
+            code, out, _ = run(capsys, "verify", "--original", data_path, "--projected", proj_path,
+                               "--delta", "0.2")
+            assert code == 0
+            assert "violations: 0\n" in out
+
+    @pytest.mark.parametrize("route", ["explicit", "implicit"])
+    def test_route_picks_the_operator(self, capsys, tmp_path, route):
+        # 20 points in n = 2000: the explicit n' (939) lies below n, so only
+        # --implicit takes the n-aware bound.  The saved operator regenerates
+        # the written projection bit for bit.
+        data_path, proj_path, op_path = (str(tmp_path / name) for name in ("d.bin", "p.bin", "op.json"))
+        save_dataset(Dataset(points=np.random.default_rng(4).standard_normal((20, 2000))), data_path)
+        flags = ("--implicit",) if route == "implicit" else ()
+        code, out, _ = run(capsys, "project", "--input", data_path, "--out", proj_path, "--seed", "2",
+                           "--epsilon", "0.1", "--delta", "0.2", "--save-operator", op_path, *flags)
+        assert code == 0
+        assert "note:" not in out
+        explicit = explicit_dimension(20, 0.1, 0.2)
+        n_prime = implicit_dimension(20, 0.1, 0.2, 2000) if flags else explicit
+        operator = "orthonormal" if flags else "normalized"
+        assert explicit < 2000 and f"resolved_nprime={n_prime} operator={operator}\n" in out
+        with open(op_path) as fh:
+            assert json.load(fh)["orthonormal"] == bool(flags)
+        expected = project(load_operator(op_path), load_dataset(data_path)).points
+        assert np.array_equal(expected, load_dataset(proj_path).points)
+
     def test_translated_dataset_same_verdict(self, capsys, tmp_path):
         # Tight clusters (sigma 0.01) moved to +1e5: every pair's squared
         # norms dwarf its distance, and the verdict must not notice.
@@ -163,7 +201,7 @@ class TestPipeline:
             proj_path = path + ".proj"
             code, _, _ = run(
                 capsys, "project", "--input", path, "--out", proj_path,
-                "--epsilon", "0.1", "--delta", "0.2", "--seed", "3", "--orthonormal",
+                "--epsilon", "0.1", "--delta", "0.2", "--seed", "3",
             )
             assert code == 0
             code, out, _ = run(
@@ -254,6 +292,17 @@ class TestPipeline:
         assert f"quotient range over trials: [{lo:.6g}, {hi:.6g}]\n" in out
         assert 0.0 < lo < 1.0 < hi
 
+    @pytest.mark.parametrize("delta", ["inf", "1e308"])
+    def test_verify_infinite_band_exit_2(self, capsys, tmp_path, delta):
+        # The histogram bins are the band width over 40, so that width must be finite.
+        a, b = str(tmp_path / "a.bin"), str(tmp_path / "b.bin")
+        data = Dataset(points=np.random.default_rng(5).standard_normal((10, 60)))
+        save_dataset(data, a)
+        save_dataset(Dataset(points=data.points[:, :20]), b)
+        code, _, err = run(capsys, "verify", "--original", a, "--projected", b, "--delta", delta,
+                           "--histogram", str(tmp_path / "h.csv"))
+        assert code == 2
+        assert err.startswith("error: delta must give the band a positive finite width")
 
     def test_verify_zero_estimate_trials_exit_2(self, capsys, tmp_path):
         a, b = str(tmp_path / "a.bin"), str(tmp_path / "b.bin")
@@ -293,6 +342,15 @@ class TestKmeansCompare:
         )
         assert code == 2
         assert err.startswith("error: delta must lie in (0, 1/2)")
+
+    def test_negative_partitions_exit_2(self, capsys, tmp_path):
+        data_path = self._mixture(capsys, tmp_path)
+        code, _, err = run(
+            capsys, "kmeans-compare", "--input", data_path, "--k", "2", "--delta", "0.2",
+            "--nprime", "20", "--trials", "2", "--partitions", "-3",
+        )
+        assert code == 2
+        assert err.startswith("error: --partitions must be >= 0")
 
     def test_csv_matches_fresh_stats(self, capsys, tmp_path):
         # Every CSV byte from stats computed afresh for each use.

@@ -1,10 +1,11 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from jlkit.cli import main
 from jlkit.dimension import (
-    DimensionRequest,
     _domain_edge,
     _log_pair_failure_bound,
     denominator,
@@ -16,6 +17,7 @@ from jlkit.dimension import (
     pair_failure_bound,
 )
 from jlkit.errors import DomainError, InfeasibleError
+from jlkit.projection import Dataset, save_dataset
 from jlkit.reproduce import reproduce
 
 
@@ -83,11 +85,20 @@ class TestExplicit:
             dict(m=10, epsilon=1.0, delta=0.1),
             dict(m=10, epsilon=0.1, delta=0.5),
             dict(m=10, epsilon=0.1, delta=0.0),
+            dict(m=10, epsilon=0.1, delta=0.1, n=1),
         ],
     )
-    def test_request_domain(self, kwargs):
-        with pytest.raises(DomainError):
-            DimensionRequest(**kwargs)
+    def test_request_domain(self, kwargs, tmp_path, capsys):
+        # Every CLI route to n' exits 2: dim, and project on an m x n dataset
+        # with and without --implicit.
+        m, n = kwargs["m"], kwargs.get("n", 5)
+        values = ["--epsilon", str(kwargs["epsilon"]), "--delta", str(kwargs["delta"])]
+        data_path, out_path = str(tmp_path / "data.bin"), str(tmp_path / "p.bin")
+        save_dataset(Dataset(points=np.random.default_rng(0).standard_normal((m, n))), data_path)
+        assert main(["dim", "--m", str(m), *values, *(["--n", str(n)] if "n" in kwargs else [])]) == 2
+        for flags in ([], ["--implicit"]):
+            assert main(["project", "--input", data_path, "--out", out_path, *values, *flags]) == 2
+        assert capsys.readouterr().err.count("error: ") == 3
 
 
 class TestPairFailureBound:

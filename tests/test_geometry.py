@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from jlkit import geometry
-from jlkit.errors import DegenerateDataError, ShapeError
+from jlkit.errors import DegenerateDataError, DomainError, ShapeError
 from jlkit.geometry import (
     distortion_report,
     estimate_failure_rate,
@@ -156,6 +156,13 @@ class TestDistortionReport:
         pts = np.ones((4, 3))
         with pytest.raises(DegenerateDataError):
             distortion_report(Dataset(points=pts), Dataset(points=pts[:, :2]), 0.1)
+
+    @pytest.mark.parametrize("delta", [0.0, -0.1, float("nan"), float("inf"), 1e308, 1e-17])
+    def test_band_width_domain(self, delta):
+        # 1e308 overflows the band width, 1e-17 rounds it to zero.
+        pts = np.random.default_rng(1).standard_normal((4, 3))
+        with pytest.raises(DomainError):
+            distortion_report(Dataset(points=pts), Dataset(points=pts[:, :2]), delta)
 
     def test_wrong_m_rejected(self):
         a = Dataset(points=np.zeros((3, 3)))
