@@ -20,7 +20,7 @@ import numpy as np
 from . import clusterability as clus
 from . import datagen, dimension, geometry, kmeans, reproduce
 from .errors import DomainError, JlkitError
-from .projection import build_operator, load_dataset, project, save_dataset, save_operator
+from .projection import Dataset, build_operator, load_dataset, project, save_dataset, save_operator
 
 __all__ = ["main"]
 
@@ -56,7 +56,6 @@ def _resolve_n_prime(args, m: int, n: int) -> tuple[int, bool]:
         return args.nprime, False
     if args.epsilon is None or args.delta is None:
         raise JlkitError("give --nprime, or --epsilon and --delta for the automatic dimension")
-    _check_delta(args.delta)
     if not getattr(args, "implicit", False):
         explicit = dimension.explicit_dimension(m, args.epsilon, args.delta)
         if explicit < n:
@@ -65,6 +64,18 @@ def _resolve_n_prime(args, m: int, n: int) -> tuple[int, bool]:
         # n-aware bound over the valid domain instead.
         print(f"note: explicit n'={explicit} >= n={n}; using the n-dependent bound", flush=True)
     return dimension.implicit_dimension(m, args.epsilon, args.delta, n), True
+
+
+def _load_input(command: str, args) -> tuple[Dataset, int, bool]:
+    # --input, its n' and whether that n' takes orthonormal rows; prints the
+    # config line.  A given --delta is checked on every route, before any read.
+    if args.delta is not None:
+        _check_delta(args.delta)
+    data = load_dataset(args.input)
+    n_prime, orthonormal = _resolve_n_prime(args, m=data.m, n=data.dim)
+    _print_config(command, args, m=data.m, n=data.dim, resolved_nprime=n_prime,
+                  operator="orthonormal" if orthonormal else "normalized")
+    return data, n_prime, orthonormal
 
 
 def _cmd_dim(args) -> int:
@@ -111,10 +122,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_project(args) -> int:
-    data = load_dataset(args.input)
-    n_prime, orthonormal = _resolve_n_prime(args, m=data.m, n=data.dim)
-    _print_config("project", args, m=data.m, n=data.dim, resolved_nprime=n_prime,
-                  operator="orthonormal" if orthonormal else "normalized")
+    data, n_prime, orthonormal = _load_input("project", args)
     op = build_operator(data.dim, n_prime, args.seed, orthonormalize=orthonormal)
     save_dataset(project(op, data), args.out, fmt=args.format)
     print(f"projected: {data.m} x {n_prime} -> {args.out} (distance scale {op.scale:.6f})")
@@ -153,15 +161,13 @@ def _cmd_verify(args) -> int:
 def _cmd_kmeans_compare(args) -> int:
     if args.partitions < 0:
         raise DomainError(f"--partitions must be >= 0, got {args.partitions}")
-    data = load_dataset(args.input)
-    n_prime, _ = _resolve_n_prime(args, m=data.m, n=data.dim)
-    _print_config("kmeans-compare", args, m=data.m, n=data.dim, resolved_nprime=n_prime)
+    data, n_prime, orthonormal = _load_input("kmeans-compare", args)
     lloyd_partition, lloyd_stats = kmeans.lloyd(data, args.k, init=args.seed)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=args.seed, spawn_key=(1,)))
     partitions = [lloyd_partition] + [
         kmeans.random_partition(rng, data.m, args.k) for _ in range(args.partitions)
     ]
-    records = kmeans.sandwich_trials(data, partitions, n_prime, args.delta, args.trials, args.seed)
+    records = kmeans.sandwich_trials(data, partitions, n_prime, args.delta, args.trials, args.seed, orthonormal)
     sandwich_pass = sum(r.passed for r in records)
     fixed_pass = sum(r.fixed_point for r in records)
     if args.out:
@@ -179,9 +185,7 @@ def _cmd_kmeans_compare(args) -> int:
 
 
 def _cmd_clusterability(args) -> int:
-    data = load_dataset(args.input)
-    n_prime, _ = _resolve_n_prime(args, m=data.m, n=data.dim)
-    _print_config("clusterability", args, m=data.m, n=data.dim, resolved_nprime=n_prime)
+    data, n_prime, orthonormal = _load_input("clusterability", args)
     sigma = clus.measure_sigma_separatedness(data, args.k)
     opt_partition, _ = kmeans.brute_force_optimum(data, args.k)
     beta = clus.measure_centre_stability(data, opt_partition)
@@ -194,7 +198,7 @@ def _cmd_clusterability(args) -> int:
     )
     predicted = clus.transport(before, args.delta)
     shrink = (1.0 - args.delta) / (1.0 + args.delta)
-    records = clus.transport_trials(data, args.k, n_prime, args.trials, args.seed)
+    records = clus.transport_trials(data, args.k, n_prime, args.trials, args.seed, orthonormal)
     ok = {
         "sigma": sum(r.sigma <= sigma / np.sqrt(shrink) for r in records),
         "beta": sum(r.beta >= beta * np.sqrt(shrink) for r in records),

@@ -30,7 +30,7 @@ from . import kmeans
 from .errors import DegenerateDataError, DomainError
 from .geometry import sq_dist_matrix, sq_dists_to
 from .kmeans import Partition, brute_force_optimum, cluster_stats
-from .projection import Dataset, build_operator, project
+from .projection import Dataset, projections
 
 __all__ = [
     "ClusterabilityParams",
@@ -204,14 +204,11 @@ def measure_weak_deletion_stability(data: Dataset, k: int) -> float:
 
 
 def transport_trials(
-    data: Dataset, k: int, n_prime: int, trials: int, base_seed: int
+    data: Dataset, k: int, n_prime: int, trials: int, base_seed: int, orthonormalize: bool = False
 ) -> list[TransportTrial]:
-    """Measure sigma, beta and the deletion ratio under projections with seeds base_seed + t."""
-    if trials < 1:
-        raise DomainError(f"trials must be >= 1, got {trials}")
+    """Measure sigma, beta and the deletion ratio under ``projections`` with seeds base_seed + t."""
     records = []
-    for seed in range(base_seed, base_seed + trials):
-        projected = project(build_operator(data.dim, n_prime, seed), data)
+    for seed, projected in projections(data, n_prime, trials, base_seed, orthonormalize):
         sigma = measure_sigma_separatedness(projected, k)
         partition, _ = brute_force_optimum(projected, k)
         records.append(TransportTrial(seed, sigma, measure_centre_stability(projected, partition),

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDataError, DomainError, ShapeError
-from .projection import Dataset, build_operator, project
+from .projection import Dataset, projections
 
 __all__ = [
     "DistortionReport",
@@ -64,6 +64,8 @@ _BLOCK = 256
 # on random data the expansion is within 1e-12 relative of direct
 # difference at a ratio of 1e2, not 1e3.
 _CANCELLATION_RATIO = 100.0
+
+_MAX_BINS = 1000  # the most bins export_histogram writes, whatever delta is
 
 
 def _reexpand(points: np.ndarray, s: int, sq: np.ndarray, near: np.ndarray) -> None:
@@ -230,24 +232,22 @@ def distortion_report(original: Dataset, projected: Dataset, delta: float) -> Di
 
 
 def estimate_failure_rate(
-    data: Dataset, n_prime: int, delta: float, trials: int, base_seed: int
+    data: Dataset, n_prime: int, delta: float, trials: int, base_seed: int, orthonormalize: bool = False
 ) -> FailureRateEstimate:
-    """Fraction of independent projections (seeds base_seed + t) that fail the band.
+    """Fraction of independent projections (``projections``, seeds base_seed + t) that fail the band.
 
     The original pairwise distances are computed once; each trial streams
     its projected distances block by block against them and keeps only its
     smallest and largest quotient (bit for bit those of ``distortion_report``
     on the same projection); it fails when either leaves the band.
     """
-    if trials < 1:
-        raise DomainError(f"trials must be >= 1, got {trials}")
+    draws = projections(data, n_prime, trials, base_seed, orthonormalize)
     sq_orig = pairwise_sq_dists(data.points)
     if sq_orig.size > 0 and not np.any(sq_orig > 0.0):
         raise DegenerateDataError("all point pairs coincide in the original data")
     adjust = data.dim / n_prime
     extremes = []
-    for t in range(trials):
-        projected = project(build_operator(data.dim, n_prime, base_seed + t), data)
+    for _, projected in draws:
         lo, hi = math.inf, -math.inf
         for q in _block_quotients(sq_orig, projected.points, adjust):
             if q.size:
@@ -282,10 +282,13 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
 def export_histogram(report: DistortionReport, path: str) -> None:
     """Write the quotient histogram as CSV rows (bin_lo, bin_hi, count).
 
-    The bins are delta/20 wide, delta being the band's half-width.
+    The bins are delta/20 wide, delta being the band's half-width, or the
+    smallest whole multiple of that which keeps them at most ``_MAX_BINS``.
     """
     width = (report.band[1] - report.band[0]) / 2.0 / 20.0
     q = report.quotients
+    if q.size:  # aligning both ends to the bin grid adds up to two bins
+        width *= max(1, math.ceil((q.max() - q.min()) / width / (_MAX_BINS - 2)))
     lo = math.floor(q.min() / width) * width if q.size else 0.0
     hi = math.ceil(q.max() / width) * width if q.size else width
     nbins = max(1, round((hi - lo) / width))

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DegenerateDataError, DomainError, NumericalError, ShapeError
 from .geometry import _CANCELLATION_RATIO, sq_dist_matrix, sq_dists_to
-from .projection import Dataset, build_operator, project
+from .projection import Dataset, projections
 
 __all__ = [
     "Partition",
@@ -424,22 +424,21 @@ def cost_sandwich_check(
 
 
 def sandwich_trials(
-    data: Dataset, partitions: list[Partition], n_prime: int, delta: float, trials: int, base_seed: int
+    data: Dataset, partitions: list[Partition], n_prime: int, delta: float, trials: int, base_seed: int,
+    orthonormalize: bool = False,
 ) -> list[SandwichTrial]:
-    """``cost_sandwich_check`` of every partition under projections with seeds base_seed + t.
+    """``cost_sandwich_check`` of every partition under ``projections`` with seeds base_seed + t.
 
     The original-space stats are computed once.  Each trial also records
     whether ``partitions[0]`` is a Lloyd fixed point of the projected data.
     """
-    if trials < 1:
-        raise DomainError(f"trials must be >= 1, got {trials}")
     if not 0.0 < delta < 0.5:
         raise DomainError(f"delta must lie in (0, 1/2), got {delta}")
+    draws = projections(data, n_prime, trials, base_seed, orthonormalize)
     n = data.dim
     stats_orig = [cluster_stats(data, p) for p in partitions]
     records = []
-    for seed in range(base_seed, base_seed + trials):
-        projected = project(build_operator(n, n_prime, seed), data)
+    for seed, projected in draws:
         stats = [cluster_stats(projected, p) for p in partitions]
         results = [cost_sandwich_check(so, sp, n, n_prime, delta) for so, sp in zip(stats_orig, stats)]
         quotients = [r.quotient for r in results]

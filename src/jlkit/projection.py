@@ -1,11 +1,11 @@
-"""Seeded row-normalized Gaussian projection operators and dataset I/O.
+"""Seeded Gaussian projection operators, the trial source, and dataset I/O.
 
-The operator is an n' x n matrix whose rows are independent standard
-normal draws scaled to unit Euclidean norm.  Rows are deliberately *not*
-orthogonalized: with thousands of coordinates they are close to
-orthogonal anyway, and this is the construction the distance guarantees
-are stated for.  Projected coordinates are left unscaled; every distance
-comparison multiplies squared distances by n/n' instead.
+The operator starts as an n' x n standard normal matrix.  The route to
+n' picks its rows: unit-norm for an explicit or given n', orthonormal for
+an n' from the n-aware bound, the tail bound of an orthogonal projection.
+Projected coordinates are left unscaled; every distance comparison
+multiplies squared distances by n/n' instead.  ``projections`` is the
+one seed loop of every Monte-Carlo harness.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import json
 import os
 import stat
 import struct
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,7 @@ __all__ = [
     "ProjectionOperator",
     "build_operator",
     "project",
+    "projections",
     "save_dataset",
     "load_dataset",
     "save_operator",
@@ -64,7 +66,7 @@ class Dataset:
 
 @dataclass(frozen=True)
 class ProjectionOperator:
-    """Immutable n' x n row-normalized Gaussian matrix plus its provenance."""
+    """Immutable n' x n Gaussian matrix, its rows unit-norm or ``orthonormal``, plus its provenance."""
 
     n: int
     n_prime: int
@@ -84,12 +86,10 @@ class ProjectionOperator:
 
 
 def build_operator(n: int, n_prime: int, seed: int, orthonormalize: bool = False) -> ProjectionOperator:
-    """Draw a seeded n' x n operator with unit-norm rows.
+    """Draw a seeded n' x n operator with unit-norm rows, or orthonormal ones.
 
-    Deterministic in (n, n_prime, seed).  With ``orthonormalize=True`` the
-    rows are additionally orthonormalized (QR with a deterministic sign
-    fix): the n-dependent bound of ``dimension.implicit_dimension`` is
-    that of an orthogonal projection and holds for these rows only.
+    Deterministic in (n, n_prime, seed, orthonormalize).  Orthonormal rows
+    come from QR with a deterministic sign fix.
     """
     if not 0 < n_prime < n:
         raise ShapeError(f"need 0 < n' < n, got n'={n_prime}, n={n}")
@@ -111,6 +111,25 @@ def project(op: ProjectionOperator, data: Dataset) -> Dataset:
     if data.dim != op.n:
         raise ShapeError(f"dataset dimension {data.dim} != operator source dimension {op.n}")
     return Dataset(points=data.points @ op.rows.T)
+
+
+def projections(
+    data: Dataset, n_prime: int, trials: int, base_seed: int, orthonormalize: bool = False
+) -> Iterator[tuple[int, Dataset]]:
+    """Yield (seed, ``project(build_operator(n, n', seed, orthonormalize), data)``), seed = base_seed + t.
+
+    trials >= 1 and 0 < n' < n are checked at the call, before any draw.  Each
+    projection is built when the next item is asked for, so a caller that
+    deletes its loop variable first holds one projection at a time.
+    """
+    if trials < 1:
+        raise DomainError(f"trials must be >= 1, got {trials}")
+    if not 0 < n_prime < data.dim:
+        raise ShapeError(f"need 0 < n' < n, got n'={n_prime}, n={data.dim}")
+    return (
+        (seed, project(build_operator(data.dim, n_prime, seed, orthonormalize), data))
+        for seed in range(base_seed, base_seed + trials)
+    )
 
 
 def save_dataset(data: Dataset, path: str, fmt: str = "binary") -> None:

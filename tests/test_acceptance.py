@@ -28,7 +28,7 @@ from jlkit.kmeans import (
     sandwich_trials,
     var_merge,
 )
-from jlkit.projection import Dataset, build_operator, project
+from jlkit.projection import Dataset, projections
 from jlkit.reproduce import reproduce
 from tests.test_dimension import mp_pair_bound
 from tests.test_reproduce import (
@@ -269,17 +269,14 @@ def test_criterion_5_fixed_point_transfer():
     # pre-cover the projection's own distortion of both.
     bound_conv = gap_delta_bound(0.95 * g, 1.2 * p)
     delta_conv = min(0.45, bound_conv / (1.0 + bound_conv))
-    n = data.dim
     forward_hits = conv_hits = conv_condition_hits = 0
     np_fwd = explicit_dimension(data.m, eps, delta_fwd)
     np_conv = explicit_dimension(data.m, eps, delta_conv)
-    for t in range(trials):
-        op = build_operator(n, np_fwd, seed=9000 + t)
-        projected = project(op, data)
+    for (_, projected), (_, projected2) in zip(
+        projections(data, np_fwd, trials, 9000), projections(data, np_conv, trials, 90_000)
+    ):
         if is_lloyd_fixed_point(projected, truth):
             forward_hits += 1
-        op2 = build_operator(n, np_conv, seed=90_000 + t)
-        projected2 = project(op2, data)
         part_p, stats_p = lloyd(projected2, 2, init=truth)
         g_p = measure_gap(projected2, part_p).g
         p_p = pair_balance(stats_p).p
@@ -319,11 +316,8 @@ def test_criterion_6_global_optimum_oracle():
             cluster_sigma=0.7, target_gap=0.5, seed=seed,
         ))
         hits = 0
-        for t in range(trials):
-            op = build_operator(n, n_prime, seed=7000 + t)
-            projected = project(op, data)
-            res = global_optimum_transfer_check(data, projected, k, delta)
-            hits += res.forward_ok
+        for _, projected in projections(data, n_prime, trials, 7000):
+            hits += global_optimum_transfer_check(data, projected, k, delta).forward_ok
         rates[k] = hits / trials
         _, opt_stats = brute_force_optimum(data, k)
         best_lloyd = min(lloyd(data, k, init=s)[1].cost for s in range(50))
@@ -401,7 +395,6 @@ def test_criterion_8_clusterability_transport():
         k=2, sizes=(5, 5), dim=500, centre_distance=10.0,
         cluster_sigma=0.05, target_gap=1.0, seed=33,
     ))
-    n = data.dim
     n_prime = explicit_dimension(data.m, eps, delta)
     sigma = clus.measure_sigma_separatedness(data, 2)
     opt_part, _ = brute_force_optimum(data, 2)
@@ -420,8 +413,7 @@ def test_criterion_8_clusterability_transport():
         "deletion": sum(r.deletion_ratio >= deletion * shrink for r in records),
         "perturbation": 0,
     }
-    for t, r in enumerate(records):
-        projected = project(build_operator(n, n_prime, seed=r.seed), data)
+    for t, (_, projected) in enumerate(projections(data, n_prime, seeds, 3000)):
         counts["perturbation"] += clus.check_perturbation_robustness(
             projected, 2, math.sqrt(s_p_sq), trials=30, seed=100 + t
         )

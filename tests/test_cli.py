@@ -7,6 +7,7 @@ import pytest
 
 from jlkit import kmeans
 from jlkit.cli import main
+from jlkit.clusterability import measure_sigma_separatedness
 from jlkit.dimension import explicit_dimension, implicit_dimension
 from jlkit.geometry import estimate_failure_rate
 from jlkit.projection import Dataset, build_operator, load_dataset, load_operator, project, save_dataset
@@ -315,6 +316,19 @@ class TestPipeline:
         assert err.startswith("error: trials")
 
 
+@pytest.mark.parametrize("command", ["project", "kmeans-compare", "clusterability"])
+@pytest.mark.parametrize("delta", ["0", "0.7", "-0.2"])
+def test_delta_domain_on_every_route(capsys, tmp_path, oracle_calls, command, delta):
+    # An --nprime run is refused too, before the exact oracle or any projection.
+    data_path = str(tmp_path / "tiny.bin")
+    run(capsys, "gen", "--k", "2", "--sizes", "5,5", "--dim", "200", "--seed", "33", "--out", data_path)
+    extra = ("--out", str(tmp_path / "p.bin")) if command == "project" else ("--k", "2", "--trials", "2")
+    code, _, err = run(capsys, command, "--input", data_path, "--delta", delta, "--nprime", "50", *extra)
+    assert code == 2
+    assert err.startswith("error: delta must lie in (0, 1/2)")
+    assert oracle_calls[0] == 0 and not (tmp_path / "p.bin").exists()
+
+
 class TestKmeansCompare:
     def test_translated_data_exit_0(self, capsys, tmp_path):
         data_path = str(tmp_path / "shifted.bin")
@@ -351,6 +365,19 @@ class TestKmeansCompare:
         )
         assert code == 2
         assert err.startswith("error: --partitions must be >= 0")
+
+    def test_n_aware_route_draws_orthonormal_rows(self, capsys, tmp_path):
+        # The pipeline instance: the n-aware n' = 299 with normalized rows
+        # keeps the Lloyd fixed point on 3 of these 20 seeds.
+        data_path = str(tmp_path / "data.bin")
+        run(capsys, "gen", "--k", "2", "--sizes", "30,30", "--dim", "400", "--distance", "10",
+            "--sigma", "1", "--gap", "1", "--seed", "7", "--out", data_path)
+        code, out, _ = run(capsys, "kmeans-compare", "--input", data_path, "--k", "2", "--epsilon", "0.1",
+                           "--delta", "0.2", "--trials", "20", "--seed", "0")
+        assert code == 0
+        assert out.split("config: kmeans-compare ")[1].splitlines()[0].endswith(
+            " resolved_nprime=299 operator=orthonormal")
+        assert "fixed-point transfer rate: 13/20 " in out
 
     def test_csv_matches_fresh_stats(self, capsys, tmp_path):
         # Every CSV byte from stats computed afresh for each use.
@@ -406,6 +433,26 @@ class TestKmeansCompare:
 
 
 class TestClusterability:
+    @pytest.mark.parametrize("route, n_prime, operator", [
+        (("--epsilon", "0.1"), 161, "orthonormal"), (("--nprime", "50"), 50, "normalized"),
+    ])
+    def test_trials_draw_the_routes_operator(self, capsys, tmp_path, route, n_prime, operator):
+        # 10 points in n = 200: the explicit n' (782) exceeds n, so --epsilon
+        # takes the n-aware bound and its orthonormal rows, which the trials draw.
+        data_path, report = str(tmp_path / "tiny.bin"), str(tmp_path / "transport.csv")
+        run(capsys, "gen", "--k", "2", "--sizes", "5,5", "--dim", "200", "--distance", "10",
+            "--sigma", "0.05", "--gap", "1", "--seed", "33", "--out", data_path)
+        code, out, _ = run(capsys, "clusterability", "--input", data_path, "--k", "2", "--delta", "0.2",
+                           *route, "--trials", "2", "--seed", "0", "--out", report)
+        assert code == 0
+        assert f" resolved_nprime={n_prime} operator={operator}\n" in out
+        data = load_dataset(data_path)
+        sigma = max(measure_sigma_separatedness(project(build_operator(
+            200, n_prime, seed, orthonormalize=operator == "orthonormal"), data), 2) for seed in (0, 1))
+        with open(report, newline="") as fh:
+            rows = {r[0]: r for r in csv.reader(fh)}
+        assert rows["sigma_separatedness"][3] == f"{sigma:.10g}"
+
     def test_partition_cap_exit_2(self, capsys, tmp_path):
         # S(14, 6) = 63,436,373 partitions: refused before any enumeration.
         data_path = str(tmp_path / "fourteen.bin")

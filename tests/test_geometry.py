@@ -1,4 +1,5 @@
 import csv
+import math
 import tracemalloc
 
 import numpy as np
@@ -6,6 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from jlkit import geometry
+from jlkit.datagen import MixtureSpec, generate
+from jlkit.dimension import implicit_dimension
 from jlkit.errors import DegenerateDataError, DomainError, ShapeError
 from jlkit.geometry import (
     distortion_report,
@@ -192,6 +195,16 @@ class TestFailureRate:
             q = distortion_report(data, project(op, data), delta).quotients
             assert extremes == (q.min(), q.max())
 
+    def test_orthonormal_rows_hold_the_n_aware_bound(self):
+        # The CLI pipeline instance, 60 points in n = 400: n' = 299 is the
+        # n-aware bound's at eps 0.1, delta 0.2, a bound on orthonormal rows.
+        # Normalized rows fail every one of these seeds.
+        data, _ = generate(MixtureSpec(k=2, sizes=(30, 30), dim=400, centre_distance=10.0,
+                                       cluster_sigma=1.0, target_gap=1.0, seed=7))
+        assert implicit_dimension(60, 0.1, 0.2, 400) == 299
+        est = estimate_failure_rate(data, 299, 0.2, 50, 0, orthonormalize=True)
+        assert est.rate <= 0.1 + 3 * math.sqrt(0.1 * 0.9 / 50)
+
 
 class TestWilson:
     def test_known_value(self):
@@ -221,6 +234,20 @@ class TestHistogram:
         assert sum(counts) == report.quotients.size
         widths = [float(r[1]) - float(r[0]) for r in rows[1:]]
         assert all(abs(w - 0.01) < 1e-9 for w in widths)  # delta/20 = 0.01
+
+    def test_bin_count_is_capped(self, tmp_path):
+        # delta/20-wide bins would number 140,729 here; they widen to a whole
+        # multiple of delta/20 instead, and every quotient is still counted.
+        data = Dataset(points=np.random.default_rng(0).standard_normal((10, 60)))
+        report = distortion_report(data, Dataset(points=data.points[:, :20]), 1e-4)
+        path = str(tmp_path / "hist.csv")
+        export_histogram(report, path)
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert 0 < len(rows) <= 1000
+        assert sum(int(r[2]) for r in rows) == report.quotients.size
+        multiple = (float(rows[0][1]) - float(rows[0][0])) / (1e-4 / 20)
+        assert multiple > 1 and abs(multiple - round(multiple)) < 1e-3
 
 
 def brute_quotients(original, projected):

@@ -5,6 +5,7 @@ import threading
 import numpy as np
 import pytest
 
+from jlkit import projection
 from jlkit.errors import DomainError, ShapeError
 from jlkit.projection import (
     Dataset,
@@ -20,6 +21,29 @@ from jlkit.projection import (
 def _write_bytes(path, payload):
     with open(path, "wb") as fh:
         fh.write(payload)
+
+
+class TestProjections:
+    @pytest.mark.parametrize("orthonormalize", [False, True])
+    def test_seeds_and_projections(self, orthonormalize):
+        data = Dataset(points=np.random.default_rng(8).standard_normal((7, 30)))
+        draws = list(projection.projections(data, 12, 4, 5, orthonormalize=orthonormalize))
+        assert [seed for seed, _ in draws] == [5, 6, 7, 8]
+        for seed, projected in draws:
+            expected = project(build_operator(30, 12, seed, orthonormalize=orthonormalize), data)
+            assert np.array_equal(projected.points, expected.points)
+
+    @pytest.mark.parametrize("n_prime, trials, error", [
+        (12, 0, DomainError), (12, -1, DomainError), (30, 3, ShapeError), (31, 3, ShapeError), (0, 3, ShapeError),
+    ])
+    def test_checked_at_the_call(self, monkeypatch, n_prime, trials, error):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("an operator was drawn")
+
+        monkeypatch.setattr(projection, "build_operator", no_draw)
+        data = Dataset(points=np.random.default_rng(8).standard_normal((7, 30)))
+        with pytest.raises(error):
+            projection.projections(data, n_prime, trials, 0)
 
 
 class TestBuildOperator:
