@@ -20,7 +20,7 @@ import numpy as np
 from . import clusterability as clus
 from . import datagen, dimension, geometry, kmeans, reproduce
 from .errors import DomainError, JlkitError
-from .projection import Dataset, build_operator, load_dataset, project, save_dataset, save_operator
+from .projection import Dataset, build_operator, load_dataset, load_operator, project, save_dataset, save_operator
 
 __all__ = ["main"]
 
@@ -135,6 +135,14 @@ def _cmd_project(args) -> int:
 def _cmd_verify(args) -> int:
     original = load_dataset(args.original)
     projected = load_dataset(args.projected)
+    # The saved operator's kind is what --estimate-trials redraws, at its n'.
+    orthonormal = False
+    if args.operator is not None:
+        op = load_operator(args.operator)
+        if (op.n, op.n_prime) != (original.dim, projected.dim):
+            raise DomainError(f"operator maps n={op.n} to n'={op.n_prime}, "
+                              f"the data n={original.dim} to n'={projected.dim}")
+        orthonormal = op.orthonormal
     _print_config("verify", args, m=original.m, n=original.dim, nprime=projected.dim)
     report = geometry.distortion_report(original, projected, args.delta)
     print(f"pairs: {report.pair_count} (zero-distance excluded: {report.zero_pairs})")
@@ -146,7 +154,7 @@ def _cmd_verify(args) -> int:
         print(f"histogram -> {args.histogram}")
     if args.estimate_trials is not None:
         est = geometry.estimate_failure_rate(
-            original, projected.dim, args.delta, args.estimate_trials, args.base_seed
+            original, projected.dim, args.delta, args.estimate_trials, args.base_seed, orthonormal
         )
         lo, hi = est.wilson_interval
         print(
@@ -273,6 +281,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--estimate-trials", type=int, default=None,
                    help="Monte-Carlo failure-rate estimate with this many fresh projections")
     p.add_argument("--base-seed", type=_seed, default=0)
+    p.add_argument("--operator", default=None,
+                   help="operator file from project --save-operator; the estimate redraws its row kind")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("kmeans-compare", help="cost-sandwich and fixed-point harnesses")

@@ -233,6 +233,9 @@ def check_perturbation_robustness(
     more than 1/s^4 times the optimum therefore costs more than the
     optimum under every perturbation: only the rest, the rivals, are
     costed per trial, from one enumeration of the unperturbed instance.
+    That enumeration skips, as the oracle does, each run of partitions
+    labelling points 0..7 alike whose lower bound exceeds 1/s^4 times the
+    optimum (1 + 1e-9), so every rival, tied ones included, is found.
     When the optimum is its own only rival, True is a proof of
     robustness and no factors are drawn; otherwise it is evidence, not
     a proof.
@@ -245,15 +248,17 @@ def check_perturbation_robustness(
         raise DomainError("perturbation check limited to m <= 12")
     sq = sq_dist_matrix(data.points)
     _, best = kmeans.brute_force_optimum_sq_dists(sq, k)
-    masks = kmeans._partition_masks(data.m, k)
     block_cost = kmeans._block_costs(sq)
     # Every cost term is non-negative, so rounding stays near m eps of the
     # exact costs, far inside the 1e-9 slack.
-    near = [start + np.flatnonzero(s**4 * costs <= (1.0 + 1e-9) * best)
-            for start, costs in kmeans._chunk_costs(block_cost, masks)]
+    bound = (1.0 + 1e-9) * best
+    candidates = kmeans._candidates(kmeans._partition_masks(data.m, k), sq, block_cost, bound / s**4)
+    near = [start + np.flatnonzero(s**4 * costs <= bound)
+            for start, costs in kmeans._chunk_costs(block_cost, candidates)]
     keep = np.concatenate(near)
-    # Every partition a rival: use the cached table, not a copy (15.1 MiB at (12, 6)).
-    rivals = masks if keep.size == masks.shape[1] else masks[:, keep]
+    # Every candidate a rival: use it as it is, not a copy; unpruned, that
+    # is the cached table (15.1 MiB at (12, 6)).
+    rivals = candidates if keep.size == candidates.shape[1] else candidates[:, keep]
     if rivals.shape[1] <= 1:
         return True
     # Rivals keep the enumeration order, so the first perturbed minimum

@@ -33,7 +33,6 @@ __all__ = [
     "lloyd",
     "brute_force_optimum",
     "brute_force_optimum_sq_dists",
-    "partition_cost_sq_dists",
     "cost_sandwich_check",
     "sandwich_trials",
     "var_merge",
@@ -42,9 +41,7 @@ __all__ = [
     "measure_gap",
     "global_optimum_transfer_check",
     "canonical_labels",
-    "same_partition",
     "save_partition",
-    "load_partition",
 ]
 
 BRUTE_FORCE_MAX_POINTS = 14
@@ -250,8 +247,11 @@ def lloyd(data: Dataset, k: int, init: Partition | int = 0) -> tuple[Partition, 
 # Largest number of partitions S(m, k) the oracle enumerates: every m <= 12
 # and (14, 3).  At m = 14, k in 4..9 has 5M-63M, too many to hold even as
 # uint16; larger k needs the subset dynamic program over the 2^m block costs.
+# Pruning does not lift the cap: when no group can be ruled out (ties,
+# duplicates, a non-metric input) every partition is still costed.
 PARTITION_CAP = 1 << 22
 _COST_CHUNK = 1 << 14  # partitions costed at once; at 2^14 their temporaries stay in L2
+_PREFIX = 8  # elements whose labels define a group of partitions for pruning
 
 
 def _check_oracle_size(m: int, k: int) -> None:
@@ -298,13 +298,6 @@ def _partition_masks(m: int, k: int) -> np.ndarray:
     return masks
 
 
-def _pair_costs(sq: np.ndarray, members: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    # cost of each row's block of the 0/1 membership matrix: (1/size) times
-    # the sum of sq[i, j] over unordered pairs i < j in it; sizes are the
-    # row sums, at least 1 (an empty block costs 0 either way).
-    return 0.5 * np.einsum("si,si->s", members @ sq, members) / sizes
-
-
 @functools.lru_cache(maxsize=4)
 def _subset_table(m: int) -> tuple[np.ndarray, np.ndarray]:
     # Read-only, by bitmask: the 2^m x m 0/1 membership table of every
@@ -316,8 +309,10 @@ def _subset_table(m: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _block_costs(sq: np.ndarray) -> np.ndarray:
-    # The cost of each of the 2^m subsets, indexed by bitmask.
-    return _pair_costs(sq, *_subset_table(sq.shape[0]))
+    # The cost of each of the 2^m subsets, indexed by bitmask: (1/size) times
+    # the sum of sq[i, j] over unordered pairs i < j in it (0 when empty).
+    members, sizes = _subset_table(sq.shape[0])
+    return 0.5 * np.einsum("si,si->s", members @ sq, members) / sizes
 
 
 def _chunk_costs(block_cost: np.ndarray, masks: np.ndarray):
@@ -344,15 +339,56 @@ def _first_minimum(block_cost: np.ndarray, masks: np.ndarray) -> tuple[int, floa
     return firsts[chunk], float(minima[chunk])
 
 
-def partition_cost_sq_dists(sq: np.ndarray, partition: Partition) -> float:
-    """k-means cost from a symmetric squared-distance matrix with zero diagonal.
+@functools.lru_cache(maxsize=4)
+def _prefix_groups(m: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # The table's columns that label elements 0.._PREFIX-1 alike form one
+    # contiguous group, the table being in RGS order.  Read-only: each
+    # group's first column, then the table width; the k x groups block
+    # masks of its prefix; and their weights |P| / (|P| + m - _PREFIX).
+    masks = _partition_masks(m, k)
+    low = (1 << _PREFIX) - 1
+    new = np.zeros(masks.shape[1], dtype=bool)
+    new[0] = True
+    for row in masks:  # row by row: no temporary as large as the table
+        prefix = row & low
+        new[1:] |= prefix[1:] != prefix[:-1]
+    starts = np.append(np.flatnonzero(new), masks.shape[1])
+    prefix = (masks[:, starts[:-1]] & low).astype(np.intp)
+    size = sum((prefix >> i) & 1 for i in range(_PREFIX))
+    weight = size / (size + (m - _PREFIX))
+    starts.flags.writeable = prefix.flags.writeable = weight.flags.writeable = False
+    return starts, prefix, weight
 
-    J = sum_j (1/|C_j|) sum_{i<i' in C_j} sq[i, i'].  Coincides with the
-    coordinate form when sq holds Euclidean squared distances, and defines
-    the cost for perturbed metrics that are not Euclidean-realizable.
-    """
-    members = (partition.assignments == np.arange(partition.k)[:, None]).astype(np.float64)
-    return float(_pair_costs(sq, members, members.sum(axis=1)).sum())
+
+def _greedy_cost(sq: np.ndarray, block_cost: np.ndarray, k: int) -> float:
+    # The cost of a farthest-first partition (k centres from element 0, each
+    # point with its nearest), added block by block in RGS order as the
+    # table adds a column; inf when a block comes out empty.
+    centres, near = [0], sq[0]
+    for _ in range(1, k):
+        centres.append(int(np.argmax(near)))
+        near = np.minimum(near, sq[centres[-1]])
+    blocks = np.zeros(k, dtype=np.intp)
+    np.bitwise_or.at(blocks, np.argmin(sq[centres], axis=0), 1 << np.arange(sq.shape[0]))
+    if not blocks.all():
+        return math.inf
+    return float(sum(block_cost[blocks[np.argsort(blocks & -blocks)]]))
+
+
+def _candidates(masks: np.ndarray, sq: np.ndarray, block_cost: np.ndarray, bound: float) -> np.ndarray:
+    # The columns of the table masks whose group's lower bound is at most
+    # bound (1 + 1e-9), in table order; masks itself when the bound does not
+    # hold (m <= _PREFIX, a negative entry, a non-finite cost) or most survive.
+    m = sq.shape[0]
+    if m <= _PREFIX or not (sq.min() >= 0.0 and np.isfinite(block_cost).all()):
+        return masks
+    starts, prefix, weight = _prefix_groups(m, masks.shape[0])
+    keep = np.flatnonzero((block_cost[prefix] * weight).sum(axis=0) <= bound * (1.0 + 1e-9))
+    lengths = starts[keep + 1] - starts[keep]
+    total = int(lengths.sum())
+    if 2 * total > masks.shape[1]:
+        return masks
+    return masks[:, np.repeat(starts[keep] - (np.cumsum(lengths) - lengths), lengths) + np.arange(total)]
 
 
 def brute_force_optimum_sq_dists(sq: np.ndarray, k: int) -> tuple[Partition, float]:
@@ -360,11 +396,23 @@ def brute_force_optimum_sq_dists(sq: np.ndarray, k: int) -> tuple[Partition, flo
 
     Ties break toward the lexicographically smallest assignment vector.
     Limited to m <= BRUTE_FORCE_MAX_POINTS and S(m, k) <= PARTITION_CAP.
+
+    For m > 8 and every entry of sq non-negative, only the partitions that
+    can still be optimal are costed.  The partitions that label elements
+    0..7 alike form one run of the enumeration, and each costs at least
+    sum_b cost(P_b) |P_b| / (|P_b| + m - 8) over that prefix's blocks P_b:
+    a block holds the pairs of its prefix and more, and at most m - 8 more
+    points.  A run is skipped when that bound exceeds, by more than 1e-9
+    relative, the cost of a farthest-first partition.  The slack is far
+    above the rounding of these sums of non-negative terms, so every
+    optimal partition, tied ones included, survives in enumeration order
+    and the result is the full enumeration's, bit for bit.
     """
-    m = sq.shape[0]
-    masks = _partition_masks(m, k)
-    first, cost = _first_minimum(_block_costs(sq), masks)
-    labels = np.argmax((masks[:, first, None] >> np.arange(m)) & 1, axis=0)
+    masks = _partition_masks(sq.shape[0], k)  # checks the size before any allocation
+    block_cost = _block_costs(sq)
+    masks = _candidates(masks, sq, block_cost, _greedy_cost(sq, block_cost, k))
+    first, cost = _first_minimum(block_cost, masks)
+    labels = np.argmax((masks[:, first, None] >> np.arange(sq.shape[0])) & 1, axis=0)
     return Partition(assignments=labels, k=k), cost
 
 
@@ -386,7 +434,10 @@ def brute_force_optimum(data: Dataset, k: int) -> tuple[Partition, ClusterStats]
     The optima of the eight most recent (distance matrix, k) are kept, so
     the same points measured again (the several measurements of one
     projection, the original side of repeated transfer checks) are not
-    enumerated again.  Every call returns a fresh partition and stats.
+    enumerated again.  An enumeration skips the partitions that a prefix
+    lower bound rules out against a farthest-first partition, ties kept
+    (see ``brute_force_optimum_sq_dists``).  Every call returns a fresh
+    partition and stats.
     """
     _check_oracle_size(data.m, k)
     labels = _optimum_labels(sq_dist_matrix(data.points).tobytes(), data.m, k)
@@ -564,31 +615,9 @@ def canonical_labels(assignments: np.ndarray) -> np.ndarray:
     return out
 
 
-def same_partition(a: Partition, b: Partition) -> bool:
-    """Partition equality up to cluster relabeling."""
-    return a.k == b.k and np.array_equal(canonical_labels(a.assignments), canonical_labels(b.assignments))
-
-
 def save_partition(partition: Partition, path: str) -> None:
     """Write CSV rows (id, cluster), the id being the point's row index."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["id", "cluster"])
         writer.writerows(enumerate(partition.assignments.tolist()))
-
-
-def load_partition(path: str, m: int) -> Partition:
-    """Read an (id, cluster) CSV into the labels of rows 0..m-1, the id being the row index."""
-    table: dict[str, int] = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header[:2] != ["id", "cluster"]:
-            raise ShapeError(f"unexpected partition header {header!r}")
-        for row in reader:
-            table[row[0]] = int(row[1])
-    missing = [i for i in range(m) if str(i) not in table]
-    if missing:
-        raise ShapeError(f"partition file lacks rows {missing[:5]}{'...' if len(missing) > 5 else ''}")
-    labels = np.array([table[str(i)] for i in range(m)], dtype=np.int64)
-    return Partition(assignments=labels, k=int(labels.max()) + 1)

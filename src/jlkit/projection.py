@@ -207,11 +207,12 @@ def save_operator(op: ProjectionOperator, path: str) -> None:
 
 
 def load_operator(path: str) -> ProjectionOperator:
-    with open(path) as fh:
-        meta = json.load(fh)
-    return build_operator(
-        n=int(meta["n"]),
-        n_prime=int(meta["n_prime"]),
-        seed=int(meta["seed"]),
-        orthonormalize=bool(meta.get("orthonormal", False)),
-    )
+    """Redraw the operator that ``save_operator`` wrote; a malformed file raises ShapeError."""
+    try:
+        with open(path) as fh:
+            meta = json.load(fh)
+        n, n_prime, seed = int(meta["n"]), int(meta["n_prime"]), int(meta["seed"])
+        orthonormalize = bool(meta.get("orthonormal", False))
+    except (ValueError, KeyError, TypeError, AttributeError) as err:
+        raise ShapeError(f"malformed operator file {path}: {err!r}") from None
+    return build_operator(n=n, n_prime=n_prime, seed=seed, orthonormalize=orthonormalize)

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import struct
 
 import numpy as np
@@ -221,7 +222,6 @@ class TestPipeline:
         )
         assert code == 0
         assert part_path.read_bytes() == b"id,cluster\r\n0,0\r\n1,0\r\n2,0\r\n3,1\r\n4,1\r\n5,2\r\n6,2\r\n"
-        assert np.array_equal(kmeans.load_partition(str(part_path), 7).assignments, [0, 0, 0, 1, 1, 2, 2])
 
     def test_verify_mismatched_m_exit_2(self, capsys, tmp_path):
         a, b = str(tmp_path / "a.bin"), str(tmp_path / "b.bin")
@@ -304,6 +304,36 @@ class TestPipeline:
                            "--histogram", str(tmp_path / "h.csv"))
         assert code == 2
         assert err.startswith("error: delta must give the band a positive finite width")
+
+    def test_verify_estimate_draws_the_saved_operator(self, capsys, tmp_path):
+        # project saves orthonormal rows at the n-aware n' = 299; drawn as
+        # normalized rows, every one of the 50 estimate trials failed.
+        data_path, proj_path = str(tmp_path / "data.bin"), str(tmp_path / "proj.bin")
+        op_path = str(tmp_path / "op.json")
+        run(capsys, "gen", "--k", "2", "--sizes", "30,30", "--dim", "400", "--distance", "10",
+            "--sigma", "1", "--gap", "1", "--seed", "7", "--out", data_path)
+        code, _, _ = run(capsys, "project", "--input", data_path, "--out", proj_path,
+                         "--epsilon", "0.1", "--delta", "0.2", "--save-operator", op_path)
+        assert code == 0
+        code, out, _ = run(capsys, "verify", "--original", data_path, "--projected", proj_path,
+                           "--delta", "0.2", "--operator", op_path, "--estimate-trials", "50")
+        assert code == 0
+        failures = int(out.split("failure rate: ")[1].split("/")[0])
+        assert failures / 50 <= 0.1 + 3 * math.sqrt(0.1 * 0.9 / 50)
+
+    @pytest.mark.parametrize("text", ['{"n": 60, "n_prime": 20, "seed": 0}', '{"n": 59, "n_prime": 20, "seed": 0}',
+                                      '{"n": 60}', "not json"],
+                             ids=["n-prime", "n", "missing-keys", "not-json"])
+    def test_verify_operator_must_fit_the_data_exit_2(self, capsys, tmp_path, text):
+        a, b, op = str(tmp_path / "a.bin"), str(tmp_path / "b.bin"), tmp_path / "op.json"
+        data = Dataset(points=np.random.default_rng(5).standard_normal((10, 60)))
+        save_dataset(data, a)
+        save_dataset(Dataset(points=data.points[:, :21]), b)
+        op.write_text(text)
+        code, out, err = run(capsys, "verify", "--original", a, "--projected", b, "--delta", "0.3",
+                             "--operator", str(op), "--estimate-trials", "5")
+        assert code == 2
+        assert err.startswith("error: ") and "violations" not in out
 
     def test_verify_zero_estimate_trials_exit_2(self, capsys, tmp_path):
         a, b = str(tmp_path / "a.bin"), str(tmp_path / "b.bin")

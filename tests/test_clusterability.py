@@ -23,7 +23,7 @@ from jlkit.clusterability import (
 from jlkit.datagen import MixtureSpec, generate
 from jlkit.errors import DegenerateDataError, DomainError
 from jlkit.geometry import sq_dist_matrix
-from jlkit.kmeans import Partition, brute_force_optimum, brute_force_optimum_sq_dists, same_partition
+from jlkit.kmeans import Partition, brute_force_optimum, brute_force_optimum_sq_dists
 from jlkit.projection import Dataset, build_operator, project
 
 
@@ -247,7 +247,7 @@ def enumerate_every_trial(data, k, s, trials, seed):
         factors[iu] = draw
         factors[(iu[1], iu[0])] = draw
         candidate, _ = brute_force_optimum_sq_dists(sq * factors**2, k)
-        if not same_partition(reference, candidate):
+        if not np.array_equal(reference.assignments, candidate.assignments):  # both in RGS form
             return False
     return True
 

@@ -1,3 +1,4 @@
+import csv
 import functools
 import itertools
 import tracemalloc
@@ -21,12 +22,9 @@ from jlkit.kmeans import (
     global_optimum_transfer_check,
     is_lloyd_fixed_point,
     lloyd,
-    load_partition,
     measure_gap,
     pair_balance,
-    partition_cost_sq_dists,
     random_partition,
-    same_partition,
     sandwich_trials,
     save_partition,
     var_merge,
@@ -36,6 +34,18 @@ from jlkit.projection import Dataset, build_operator, project
 
 def line_dataset(*coords):
     return Dataset(points=np.array([[float(c)] for c in coords]))
+
+
+def same_partition(a, b):
+    # Partition equality up to cluster relabelling.
+    return a.k == b.k and np.array_equal(canonical_labels(a.assignments), canonical_labels(b.assignments))
+
+
+def pair_cost(sq, partition):
+    # The k-means cost from squared distances: each block's sum over its
+    # unordered pairs, over its size.
+    blocks = (partition.members(j) for j in range(partition.k))
+    return float(sum(sq[np.ix_(b, b)].sum() / 2.0 / b.size for b in blocks))
 
 
 class TestClusterStats:
@@ -70,7 +80,7 @@ class TestClusterStats:
             part = Partition(assignments=labels, k=k)
             stats = cluster_stats(data, part)
             direct = float(np.sum((data.points - stats.centroids[part.assignments]) ** 2))
-            pairwise = partition_cost_sq_dists(sq_dist_matrix(data.points), part)
+            pairwise = pair_cost(sq_dist_matrix(data.points), part)
             assert stats.cost == pytest.approx(direct, rel=1e-9)
             assert stats.cost == pytest.approx(pairwise, rel=1e-9)
 
@@ -285,7 +295,7 @@ class TestBruteForce:
         }
         for labels, expected in costs.items():
             part = Partition(assignments=np.array(labels), k=2)
-            assert partition_cost_sq_dists(sq, part) == pytest.approx(expected, rel=1e-12)
+            assert pair_cost(sq, part) == pytest.approx(expected, rel=1e-12)
         part, stats = brute_force_optimum(data, 2)
         assert stats.cost == pytest.approx(0.5, rel=1e-12)
         assert np.array_equal(canonical_labels(part.assignments), [0, 0, 1])
@@ -457,6 +467,95 @@ def test_chunked_minimum_is_the_first_overall(points, k):
     part, found = brute_force_optimum_sq_dists(sq, k)
     assert found == costs[best]
     assert np.array_equal(part.assignments, expected)
+
+
+def full_scan(sq, k):
+    # The oracle without pruning: the first cheapest column of the whole table.
+    masks = kmeans._partition_masks(sq.shape[0], k)
+    first, cost = kmeans._first_minimum(kmeans._block_costs(sq), masks)
+    return np.argmax((masks[:, first, None] >> np.arange(sq.shape[0])) & 1, axis=0), cost
+
+
+def pruning_matrices(m, k, seed):
+    # Squared distances of random, clustered, duplicated and integer-tied
+    # points, plus two that are not Euclidean: the random ones under
+    # factors in [1/2, 2], and "hubs", where points 8.. lie at 0.01 from
+    # every point, so each lowers the cost of any block it joins.
+    rng = np.random.default_rng(seed)
+    centres = rng.uniform(0.0, 20.0, size=(k, 4))
+    points = {
+        "random": rng.standard_normal((m, 3)),
+        "clustered": centres[np.arange(m) % k] + 0.1 * rng.standard_normal((m, 4)),
+        "duplicated": rng.standard_normal((m, 2))[np.arange(m) // 2],
+        "integer-tied": rng.integers(0, 3, size=(m, 2)).astype(float),
+    }
+    out = {name: sq_dist_matrix(p) for name, p in points.items()}
+    factors = np.triu(rng.uniform(0.5, 2.0, size=(m, m)), 1)
+    out["perturbed"] = out["random"] * (factors + factors.T + np.eye(m)) ** 2
+    hubs = out["clustered"].copy()
+    hubs[8:, :] = hubs[:, 8:] = 0.01
+    np.fill_diagonal(hubs, 0.0)
+    out["hubs"] = hubs
+    return out
+
+
+def costed_columns(monkeypatch):
+    # The number of columns of each table the oracle costs, in call order.
+    real, seen = kmeans._first_minimum, []
+
+    def counted(block_cost, masks):
+        seen.append(masks.shape[1])
+        return real(block_cost, masks)
+
+    monkeypatch.setattr(kmeans, "_first_minimum", counted)
+    return seen
+
+
+class TestPruning:
+    @pytest.mark.parametrize("m", range(9, 15))
+    def test_pruned_equals_full_scan(self, m):
+        for k in range(1, m + 1):
+            if stirling2(m, k) > kmeans.PARTITION_CAP:
+                continue
+            for name, sq in pruning_matrices(m, k, 100 * m + k).items():
+                part, cost = brute_force_optimum_sq_dists(sq, k)
+                labels, expected = full_scan(sq, k)
+                assert np.array_equal(part.assignments, labels), (k, name)
+                assert cost.hex() == expected.hex(), (k, name)
+
+    def test_negative_entry_scans_the_whole_table(self, monkeypatch):
+        sq = pruning_matrices(12, 3, 1)["clustered"]
+        seen = costed_columns(monkeypatch)
+        brute_force_optimum_sq_dists(sq, 3)
+        assert seen[-1] < stirling2(12, 3)
+        sq[0, 1] = sq[1, 0] = -1e-3
+        part, cost = brute_force_optimum_sq_dists(sq, 3)
+        assert seen[-1] == stirling2(12, 3)
+        labels, expected = full_scan(sq, 3)
+        assert np.array_equal(part.assignments, labels) and cost == expected
+
+    def test_clustered_instance_costs_a_tenth(self, monkeypatch):
+        # The 5/5/4 mixture of the oracle-14 benchmark.
+        data, _ = generate(MixtureSpec(k=3, sizes=(5, 5, 4), dim=500, centre_distance=10.0,
+                                       cluster_sigma=0.05, target_gap=1.0, seed=33))
+        seen = costed_columns(monkeypatch)
+        brute_force_optimum_sq_dists(sq_dist_matrix(data.points), 3)
+        assert len(seen) == 1 and seen[0] <= stirling2(14, 3) // 10
+
+    def test_slack_keeps_a_bound_met_exactly(self):
+        # Points 0..6 form one block and point 8 lies at 0 from each of them,
+        # so the optimum {0..6, 8}, {7} costs its group's bound exactly; in
+        # floating point the bound reads one ulp above that cost.
+        sq = np.zeros((9, 9))
+        sq[:7, :7] = sq_dist_matrix(np.random.default_rng(5).standard_normal((7, 3)))
+        sq[7, :] = sq[:, 7] = 100.0
+        sq[7, 7] = 0.0
+        block_cost = kmeans._block_costs(sq)
+        optimum = block_cost[0b101111111] + block_cost[0b010000000]
+        assert block_cost[0b001111111] * 7 / 8 + block_cost[0b010000000] / 2 > optimum
+        part, cost = brute_force_optimum_sq_dists(sq, 2)
+        assert np.array_equal(part.assignments, [0, 0, 0, 0, 0, 0, 0, 1, 0])
+        assert cost == optimum
 
 
 class TestOracleLimits:
@@ -778,29 +877,15 @@ class TestPartitionHelpers:
     def test_canonical_labels(self):
         assert np.array_equal(canonical_labels(np.array([2, 2, 0, 1, 0])), [0, 0, 1, 2, 1])
 
-    def test_same_partition(self):
-        a = Partition(assignments=np.array([0, 0, 1, 2]), k=3)
-        b = Partition(assignments=np.array([1, 1, 2, 0]), k=3)
-        c = Partition(assignments=np.array([0, 1, 1, 2]), k=3)
-        assert same_partition(a, b)
-        assert not same_partition(a, c)
-
     def test_save_load_round_trip(self, tmp_path):
         part = Partition(assignments=np.array([0, 1, 1, 0]), k=2)
         path = tmp_path / "part.csv"
         save_partition(part, str(path))
         assert path.read_text().splitlines() == ["id,cluster", "0,0", "1,1", "2,1", "3,0"]
-        back = load_partition(str(path), 4)
-        assert np.array_equal(back.assignments, part.assignments)
-
-    def test_load_partition_missing_ids_rejected(self, tmp_path):
-        from jlkit.errors import ShapeError
-
-        part = Partition(assignments=np.array([0, 1]), k=2)
-        path = str(tmp_path / "part.csv")
-        save_partition(part, path)
-        with pytest.raises(ShapeError):
-            load_partition(path, 3)
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert np.array_equal([int(c) for i, c in rows], part.assignments)
+        assert [int(i) for i, c in rows] == list(range(4))
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))
