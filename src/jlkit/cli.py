@@ -20,7 +20,8 @@ import numpy as np
 from . import clusterability as clus
 from . import datagen, dimension, geometry, kmeans, reproduce
 from .errors import DomainError, JlkitError
-from .projection import Dataset, build_operator, load_dataset, load_operator, project, save_dataset, save_operator
+from .projection import (Dataset, build_operator, load_dataset, project, read_operator, save_dataset,
+                         save_operator)
 
 __all__ = ["main"]
 
@@ -135,14 +136,14 @@ def _cmd_project(args) -> int:
 def _cmd_verify(args) -> int:
     original = load_dataset(args.original)
     projected = load_dataset(args.projected)
-    # The saved operator's kind is what --estimate-trials redraws, at its n'.
+    # The saved operator's kind is what --estimate-trials redraws, at its n';
+    # its file is read, its matrix not drawn.
     orthonormal = False
     if args.operator is not None:
-        op = load_operator(args.operator)
-        if (op.n, op.n_prime) != (original.dim, projected.dim):
-            raise DomainError(f"operator maps n={op.n} to n'={op.n_prime}, "
+        n, n_prime, _, orthonormal = read_operator(args.operator)
+        if (n, n_prime) != (original.dim, projected.dim):
+            raise DomainError(f"operator maps n={n} to n'={n_prime}, "
                               f"the data n={original.dim} to n'={projected.dim}")
-        orthonormal = op.orthonormal
     _print_config("verify", args, m=original.m, n=original.dim, nprime=projected.dim)
     report = geometry.distortion_report(original, projected, args.delta)
     print(f"pairs: {report.pair_count} (zero-distance excluded: {report.zero_pairs})")
@@ -199,30 +200,32 @@ def _cmd_clusterability(args) -> int:
     beta = clus.measure_centre_stability(data, opt_partition)
     deletion = clus.measure_weak_deletion_stability(data, args.k)
     print(f"measured: sigma={sigma:.6g} beta={beta:.6g} deletion_ratio={deletion:.6g}")
-    before = clus.ClusterabilityParams(
-        sigma_separatedness=min(sigma + 1e-9, 1.0 - 1e-12) if sigma < 1.0 else None,
-        centre_stability_beta=beta if 1.0 < beta < np.inf else None,
-        weak_deletion_beta=deletion - 1.0 if 1.0 < deletion < np.inf else None,
-    )
+    before = clus.ClusterabilityParams(sigma_separatedness=sigma, centre_stability_beta=beta,
+                                       weak_deletion_beta=deletion - 1.0)
     predicted = clus.transport(before, args.delta)
-    shrink = (1.0 - args.delta) / (1.0 + args.delta)
     records = clus.transport_trials(data, args.k, n_prime, args.trials, args.seed, orthonormal)
-    ok = {
-        "sigma": sum(r.sigma <= sigma / np.sqrt(shrink) for r in records),
-        "beta": sum(r.beta >= beta * np.sqrt(shrink) for r in records),
-        "deletion": sum(r.deletion_ratio >= deletion * shrink for r in records),
-    }
-    for name, count in ok.items():
-        print(f"{name} bound satisfied: {count}/{args.trials} = {count / args.trials:.4f}")
+    # Per parameter: its printed name, its value in each trial and which of
+    # two values is the worse (sigma is better low, the others high).  A
+    # trial meets the predicted bound when the worse of its value and the
+    # bound is the bound; the CSV row holds the worst trial.
+    checks = [
+        ("sigma", "sigma_separatedness", [r.sigma for r in records], max),
+        ("beta", "centre_stability_beta", [r.beta for r in records], min),
+        ("deletion", "weak_deletion_beta", [r.deletion_ratio - 1.0 for r in records], min),
+    ]
+    rows = []
+    for label, name, values, worst in checks:
+        bound = getattr(predicted, name)
+        met = [worst(v, bound) == bound for v in values]
+        print(f"{label} bound satisfied: {sum(met)}/{args.trials} = {sum(met) / args.trials:.4f}")
+        rows.append([name, f"{getattr(before, name):.10g}", f"{bound:.10g}",
+                     f"{worst(values):.10g}", all(met)])
     if args.out:
-        # The worst value over the trials: the largest sigma, the smallest beta and ratio.
-        worst = clus.TransportedParams(
-            sigma_separatedness=max(r.sigma for r in records),
-            centre_stability_beta=min(r.beta for r in records),
-            weak_deletion_beta=min(r.deletion_ratio for r in records) - 1.0,
-        )
-        report = clus.TransportReport(before=before, predicted_after=predicted, measured_after=worst)
-        clus.write_transport_csv(report, args.out)
+        with open(args.out, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["parameter", "before", "predicted_after", "measured_after",
+                             "theorem_bound_satisfied"])
+            writer.writerows(rows)
         print(f"transport report -> {args.out}")
     return 0
 

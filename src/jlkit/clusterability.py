@@ -20,9 +20,8 @@ s <= s_p nu (1-d)^2 / (1+d); see ``required_mult_perturb_s``.
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,8 +33,6 @@ from .projection import Dataset, projections
 
 __all__ = [
     "ClusterabilityParams",
-    "TransportReport",
-    "TransportedParams",
     "TransportTrial",
     "transport",
     "transport_trials",
@@ -44,55 +41,23 @@ __all__ = [
     "measure_centre_stability",
     "measure_weak_deletion_stability",
     "check_perturbation_robustness",
-    "write_transport_csv",
 ]
 
 
 @dataclass
 class ClusterabilityParams:
-    """Any subset of the five parameters; None marks 'not specified'."""
+    """Any subset of the five parameters; None marks 'not specified'.
+
+    One record serves an instance's parameters, their predicted values
+    after projection and the values measured there; ``transport`` checks
+    the domains of its input, since a prediction may leave them.
+    """
 
     sigma_separatedness: float | None = None          # in (0, 1)
     approx_stability: tuple[float, float] | None = None  # (c > 1, sigma)
     centre_stability_beta: float | None = None        # > 1
     weak_deletion_beta: float | None = None           # beta > 0, ratio is 1 + beta
     mult_perturb_s: float | None = None               # in (0, 1)
-
-    def __post_init__(self):
-        if self.sigma_separatedness is not None and not 0.0 < self.sigma_separatedness < 1.0:
-            raise DomainError("sigma-separatedness must lie in (0, 1)")
-        if self.approx_stability is not None and self.approx_stability[0] <= 1.0:
-            raise DomainError("approximation-stability factor c must exceed 1")
-        if self.centre_stability_beta is not None and self.centre_stability_beta <= 1.0:
-            raise DomainError("centre-stability beta must exceed 1")
-        if self.weak_deletion_beta is not None and self.weak_deletion_beta <= 0.0:
-            raise DomainError("weak-deletion beta must be positive")
-        if self.mult_perturb_s is not None and not 0.0 < self.mult_perturb_s < 1.0:
-            raise DomainError("perturbation-robustness s must lie in (0, 1)")
-
-
-@dataclass
-class TransportReport:
-    before: ClusterabilityParams
-    predicted_after: "TransportedParams"
-    measured_after: "TransportedParams | None" = None
-
-
-@dataclass
-class TransportedParams:
-    """Predicted post-projection values; fields can leave their definition domain.
-
-    ``degraded`` flags parameters whose transported value no longer
-    satisfies the defining threshold (c' <= 1, beta' <= 1, (1+beta)' <= 1):
-    the property becomes vacuous rather than erroneous.
-    """
-
-    sigma_separatedness: float | None = None
-    approx_stability: tuple[float, float] | None = None
-    centre_stability_beta: float | None = None
-    weak_deletion_beta: float | None = None
-    mult_perturb_s: float | None = None
-    degraded: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -103,31 +68,40 @@ class TransportTrial:
     deletion_ratio: float   # and the weak-deletion ratio
 
 
-def transport(before: ClusterabilityParams, delta: float) -> TransportedParams:
+def transport(before: ClusterabilityParams, delta: float) -> ClusterabilityParams:
     """Predict every specified parameter after projection at distortion delta.
 
-    Perturbation robustness has no forward map (the theorem states a
-    precondition on the original space, see ``required_mult_perturb_s``),
-    so ``mult_perturb_s`` is left unset in the prediction.
+    ``before`` must lie in the parameters' domains (a ``DomainError``
+    otherwise); the prediction may leave them (c' <= 1, beta' <= 1,
+    (1+beta)' <= 1), the property then becoming vacuous.  Perturbation
+    robustness has no forward map (the theorem states a precondition on
+    the original space, see ``required_mult_perturb_s``), so
+    ``mult_perturb_s`` is left unset in the prediction.
     """
     if not 0.0 <= delta < 0.5:
         raise DomainError(f"delta must lie in [0, 1/2), got {delta}")
+    b = before
+    if b.sigma_separatedness is not None and not 0.0 < b.sigma_separatedness < 1.0:
+        raise DomainError("sigma-separatedness must lie in (0, 1)")
+    if b.approx_stability is not None and b.approx_stability[0] <= 1.0:
+        raise DomainError("approximation-stability factor c must exceed 1")
+    if b.centre_stability_beta is not None and b.centre_stability_beta <= 1.0:
+        raise DomainError("centre-stability beta must exceed 1")
+    if b.weak_deletion_beta is not None and b.weak_deletion_beta <= 0.0:
+        raise DomainError("weak-deletion beta must be positive")
+    if b.mult_perturb_s is not None and not 0.0 < b.mult_perturb_s < 1.0:
+        raise DomainError("perturbation-robustness s must lie in (0, 1)")
     shrink = (1.0 - delta) / (1.0 + delta)
-    out = TransportedParams()
-    if before.sigma_separatedness is not None:
-        out.sigma_separatedness = before.sigma_separatedness / math.sqrt(shrink)
-        out.degraded["sigma_separatedness"] = out.sigma_separatedness >= 1.0
-    if before.approx_stability is not None:
-        c, sig = before.approx_stability
+    out = ClusterabilityParams()
+    if b.sigma_separatedness is not None:
+        out.sigma_separatedness = b.sigma_separatedness / math.sqrt(shrink)
+    if b.approx_stability is not None:
+        c, sig = b.approx_stability
         out.approx_stability = (c * shrink, sig)
-        out.degraded["approx_stability"] = out.approx_stability[0] <= 1.0
-    if before.centre_stability_beta is not None:
-        out.centre_stability_beta = before.centre_stability_beta * math.sqrt(shrink)
-        out.degraded["centre_stability_beta"] = out.centre_stability_beta <= 1.0
-    if before.weak_deletion_beta is not None:
-        ratio = (1.0 + before.weak_deletion_beta) * shrink
-        out.weak_deletion_beta = ratio - 1.0
-        out.degraded["weak_deletion_beta"] = ratio <= 1.0
+    if b.centre_stability_beta is not None:
+        out.centre_stability_beta = b.centre_stability_beta * math.sqrt(shrink)
+    if b.weak_deletion_beta is not None:
+        out.weak_deletion_beta = (1.0 + b.weak_deletion_beta) * shrink - 1.0
     return out
 
 
@@ -276,37 +250,3 @@ def check_perturbation_robustness(
         if kmeans._first_minimum(kmeans._block_costs(perturbed_sq), rivals)[0] != reference:
             return False
     return True
-
-
-def write_transport_csv(report: TransportReport, path: str) -> None:
-    """Serialize a transport report: (parameter, before, predicted_after, measured_after, bound_ok)."""
-    rows = []
-
-    def add(name, before, predicted, measured, better_when):
-        if before is None:
-            return
-        ok = ""
-        if measured is not None and predicted is not None:
-            ok = str(measured <= predicted if better_when == "low" else measured >= predicted)
-        rows.append([name, _fmt(before), _fmt(predicted), _fmt(measured), ok])
-
-    b, p = report.before, report.predicted_after
-    meas = report.measured_after or TransportedParams()
-    add("sigma_separatedness", b.sigma_separatedness, p.sigma_separatedness,
-        meas.sigma_separatedness, "low")
-    add("approx_stability_c", None if b.approx_stability is None else b.approx_stability[0],
-        None if p.approx_stability is None else p.approx_stability[0],
-        None if meas.approx_stability is None else meas.approx_stability[0], "high")
-    add("centre_stability_beta", b.centre_stability_beta, p.centre_stability_beta,
-        meas.centre_stability_beta, "high")
-    add("weak_deletion_beta", b.weak_deletion_beta, p.weak_deletion_beta,
-        meas.weak_deletion_beta, "high")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["parameter", "before", "predicted_after", "measured_after",
-                         "theorem_bound_satisfied"])
-        writer.writerows(rows)
-
-
-def _fmt(value) -> str:
-    return "" if value is None else f"{value:.10g}"

@@ -18,7 +18,7 @@ from .errors import DomainError, InfeasibleError, ShapeError
 from .kmeans import Partition, is_lloyd_fixed_point
 from .projection import Dataset
 
-__all__ = ["MixtureSpec", "generate", "simplex_centroids"]
+__all__ = ["MixtureSpec", "generate"]
 
 _MAX_FIXED_POINT_ATTEMPTS = 10
 
@@ -52,7 +52,7 @@ class MixtureSpec:
         return sum(self.sizes)
 
 
-def simplex_centroids(k: int, dim: int, distance: float) -> np.ndarray:
+def _simplex_centroids(k: int, dim: int, distance: float) -> np.ndarray:
     """k centroids in R^dim with every pairwise distance equal to ``distance``.
 
     Built from scaled standard basis vectors in R^k, centred, and expressed
@@ -115,7 +115,7 @@ def generate(spec: MixtureSpec) -> tuple[Dataset, Partition]:
 
 
 def _generate_once(spec: MixtureSpec, seed: int) -> tuple[Dataset, Partition]:
-    centroids = simplex_centroids(spec.k, spec.dim, spec.centre_distance)
+    centroids = _simplex_centroids(spec.k, spec.dim, spec.centre_distance)
     alpha = 1.0 - spec.target_gap / 2.0
     half = spec.centre_distance / 2.0
     blocks = []

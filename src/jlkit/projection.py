@@ -30,7 +30,7 @@ __all__ = [
     "save_dataset",
     "load_dataset",
     "save_operator",
-    "load_operator",
+    "read_operator",
 ]
 
 _MAGIC = b"JLKIT-DATASET-01"  # exactly 16 bytes: magic + version
@@ -198,7 +198,7 @@ def load_dataset(path: str) -> Dataset:
 
 
 def save_operator(op: ProjectionOperator, path: str) -> None:
-    """Persist only (n, n', seed, orthonormal); the matrix is regenerated on load."""
+    """Persist only (n, n', seed, orthonormal); ``read_operator`` reads them back."""
     with open(path, "w") as fh:
         json.dump(
             {"n": op.n, "n_prime": op.n_prime, "seed": op.seed, "orthonormal": op.orthonormal},
@@ -206,13 +206,14 @@ def save_operator(op: ProjectionOperator, path: str) -> None:
         )
 
 
-def load_operator(path: str) -> ProjectionOperator:
-    """Redraw the operator that ``save_operator`` wrote; a malformed file raises ShapeError."""
+def read_operator(path: str) -> tuple[int, int, int, bool]:
+    """(n, n', seed, orthonormal) as ``save_operator`` wrote them; a malformed file raises ShapeError.
+
+    Nothing is drawn: ``build_operator(*read_operator(path))`` redraws the operator.
+    """
     try:
         with open(path) as fh:
             meta = json.load(fh)
-        n, n_prime, seed = int(meta["n"]), int(meta["n_prime"]), int(meta["seed"])
-        orthonormalize = bool(meta.get("orthonormal", False))
+        return int(meta["n"]), int(meta["n_prime"]), int(meta["seed"]), bool(meta.get("orthonormal", False))
     except (ValueError, KeyError, TypeError, AttributeError) as err:
         raise ShapeError(f"malformed operator file {path}: {err!r}") from None
-    return build_operator(n=n, n_prime=n_prime, seed=seed, orthonormalize=orthonormalize)

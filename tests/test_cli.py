@@ -6,12 +6,12 @@ import struct
 import numpy as np
 import pytest
 
-from jlkit import kmeans
+from jlkit import kmeans, projection
 from jlkit.cli import main
 from jlkit.clusterability import measure_sigma_separatedness
 from jlkit.dimension import explicit_dimension, implicit_dimension
 from jlkit.geometry import estimate_failure_rate
-from jlkit.projection import Dataset, build_operator, load_dataset, load_operator, project, save_dataset
+from jlkit.projection import Dataset, build_operator, load_dataset, project, read_operator, save_dataset
 from tests.test_dimension import mp_pair_bound
 from tests.test_kmeans import shifted_mixture
 
@@ -183,7 +183,7 @@ class TestPipeline:
         assert explicit < 2000 and f"resolved_nprime={n_prime} operator={operator}\n" in out
         with open(op_path) as fh:
             assert json.load(fh)["orthonormal"] == bool(flags)
-        expected = project(load_operator(op_path), load_dataset(data_path)).points
+        expected = project(build_operator(*read_operator(op_path)), load_dataset(data_path)).points
         assert np.array_equal(expected, load_dataset(proj_path).points)
 
     def test_translated_dataset_same_verdict(self, capsys, tmp_path):
@@ -320,6 +320,26 @@ class TestPipeline:
         assert code == 0
         failures = int(out.split("failure rate: ")[1].split("/")[0])
         assert failures / 50 <= 0.1 + 3 * math.sqrt(0.1 * 0.9 / 50)
+
+    def test_verify_operator_reads_without_drawing(self, capsys, tmp_path, monkeypatch):
+        # n, n' and the row kind come from the file: no operator is drawn
+        # unless --estimate-trials asks for fresh projections.
+        data_path, proj_path = str(tmp_path / "data.bin"), str(tmp_path / "proj.bin")
+        op_path = str(tmp_path / "op.json")
+        save_dataset(Dataset(points=np.random.default_rng(5).standard_normal((10, 60))), data_path)
+        run(capsys, "project", "--input", data_path, "--out", proj_path, "--nprime", "20",
+            "--save-operator", op_path)
+        real, calls = projection.build_operator, []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(projection, "build_operator", counted)
+        code, out, _ = run(capsys, "verify", "--original", data_path, "--projected", proj_path,
+                           "--delta", "0.9", "--operator", op_path)
+        assert code == 0 and "violations:" in out
+        assert calls == []
 
     @pytest.mark.parametrize("text", ['{"n": 60, "n_prime": 20, "seed": 0}', '{"n": 59, "n_prime": 20, "seed": 0}',
                                       '{"n": 60}', "not json"],
@@ -482,6 +502,20 @@ class TestClusterability:
         with open(report, newline="") as fh:
             rows = {r[0]: r for r in csv.reader(fh)}
         assert rows["sigma_separatedness"][3] == f"{sigma:.10g}"
+
+    def test_sigma_row_before_is_the_measured_sigma(self, capsys, tmp_path):
+        # The README instance: the row's `before` cell is the measured sigma as it is.
+        data_path, report = str(tmp_path / "tiny.bin"), str(tmp_path / "transport.csv")
+        run(capsys, "gen", "--k", "2", "--sizes", "5,5", "--dim", "500", "--distance", "10",
+            "--sigma", "0.05", "--gap", "1", "--seed", "33", "--out", data_path)
+        code, _, _ = run(capsys, "clusterability", "--input", data_path, "--k", "2", "--delta", "0.3",
+                         "--epsilon", "0.1", "--nprime", "368", "--trials", "20", "--seed", "0",
+                         "--out", report)
+        assert code == 0
+        with open(report, newline="") as fh:
+            rows = {r[0]: r for r in csv.reader(fh)}
+        sigma = measure_sigma_separatedness(load_dataset(data_path), 2)
+        assert rows["sigma_separatedness"][1] == f"{sigma:.10g}"
 
     def test_partition_cap_exit_2(self, capsys, tmp_path):
         # S(14, 6) = 63,436,373 partitions: refused before any enumeration.

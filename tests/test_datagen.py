@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from jlkit.datagen import MixtureSpec, generate, simplex_centroids
+from jlkit.datagen import MixtureSpec, _simplex_centroids, generate
 from jlkit.errors import DomainError, InfeasibleError
 from jlkit.kmeans import cluster_stats, is_lloyd_fixed_point, measure_gap, pair_balance
 
@@ -16,7 +16,7 @@ def spec_with(**overrides):
 class TestSimplexCentroids:
     @pytest.mark.parametrize("k,dim", [(2, 1), (3, 2), (4, 3), (5, 12)])
     def test_equidistant(self, k, dim):
-        c = simplex_centroids(k, dim, 7.0)
+        c = _simplex_centroids(k, dim, 7.0)
         assert c.shape == (k, dim)
         for i in range(k):
             for j in range(i + 1, k):
@@ -24,10 +24,10 @@ class TestSimplexCentroids:
 
     def test_needs_enough_dims(self):
         with pytest.raises(Exception):
-            simplex_centroids(4, 2, 1.0)
+            _simplex_centroids(4, 2, 1.0)
 
     def test_single_centroid(self):
-        assert np.array_equal(simplex_centroids(1, 5, 3.0), np.zeros((1, 5)))
+        assert np.array_equal(_simplex_centroids(1, 5, 3.0), np.zeros((1, 5)))
 
 
 class TestGenerate:

@@ -1,4 +1,5 @@
-"""The package's shape: exported names exist, operators are drawn in one place.
+"""The package's shape: exported names exist, public functions are used,
+operators are drawn in one place.
 
 Tools that walk ``__all__`` (the benchmark's tracer calls ``getattr`` on
 each entry) break on a stale name left behind by a deletion.
@@ -12,7 +13,10 @@ from pathlib import Path
 import pytest
 
 import jlkit
+from tests.test_readme import claim_map_functions
 
+SRC = Path(jlkit.__file__).parent
+BENCH = SRC.parent.parent / "bench"
 MODULES = ["jlkit"] + [f"jlkit.{info.name}" for info in pkgutil.iter_modules(jlkit.__path__)]
 
 
@@ -23,12 +27,36 @@ def test_all_names_resolve(name):
     assert [attr for attr in exported if not hasattr(module, attr)] == []
 
 
+def _names(path):
+    # Every Name and Attribute in the file, the way a use is found.
+    return {getattr(node, "id", getattr(node, "attr", None))
+            for node in ast.walk(ast.parse(path.read_text()))}
+
+
+def test_public_functions_have_a_use():
+    # A public function earns its place by a use, by name, in another
+    # module of the package or in the benchmark, or by a claim-map row.
+    files = sorted(SRC.glob("*.py")) + sorted(BENCH.glob("*.py"))
+    assert BENCH / "run.py" in files
+    names = {path: _names(path) for path in files}
+    claimed = set(claim_map_functions())
+    unused = [
+        f"{path.stem}.{node.name}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+        and (path.stem, node.name) not in claimed
+        and not any(node.name in names[other] for other in files if other != path)
+    ]
+    assert unused == []
+
+
 def test_operators_are_built_in_one_place():
     # Every Monte-Carlo harness draws through projection.projections, which
     # owns the seed scheme, the trials check and the operator kind; a new
     # hand-written seed loop shows up here as a new build_operator caller.
     callers = set()
-    for path in Path(jlkit.__file__).parent.glob("*.py"):
+    for path in SRC.glob("*.py"):
         for top in ast.parse(path.read_text()).body:
             for node in ast.walk(top):
                 func = getattr(node, "func", None)

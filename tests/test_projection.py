@@ -11,8 +11,8 @@ from jlkit.projection import (
     Dataset,
     build_operator,
     load_dataset,
-    load_operator,
     project,
+    read_operator,
     save_dataset,
     save_operator,
 )
@@ -267,6 +267,7 @@ class TestFileFormats:
         op = build_operator(25, 8, seed=99, orthonormalize=True)
         path = str(tmp_path / "op.json")
         save_operator(op, path)
-        back = load_operator(path)
+        assert read_operator(path) == (25, 8, 99, True)
+        back = build_operator(*read_operator(path))
         assert np.array_equal(back.rows, op.rows)
         assert back.orthonormal

@@ -3,10 +3,13 @@
 Every ``jlkit`` line of the ``## CLI walkthrough`` block, continuations
 joined, goes through ``cli.main`` in a fresh directory and must exit 0.
 Every backticked ``--option`` outside the code blocks is an option of
-some ``jlkit`` subcommand.
+some ``jlkit`` subcommand.  Every function the claim map names is
+exported by its module.
 """
 
 import argparse
+import importlib
+import inspect
 import re
 import shlex
 from pathlib import Path
@@ -21,6 +24,22 @@ def walkthrough_commands():
     block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
     lines = block.replace("\\\n", " ").splitlines()
     return [shlex.split(line, comments=True)[1:] for line in lines if line.startswith("jlkit ")]
+
+
+def claim_map_functions():
+    """(module, function) for each backticked ``module.function`` in the claim map's functions column."""
+    section = README.read_text().split("### Claim map", 1)[1].split("\n#", 1)[0]
+    rows = [line.split(" | ") for line in section.splitlines() if line.startswith("| ") and "`" in line]
+    return [tuple(name.split(".")) for row in rows for name in re.findall(r"`(\w+\.\w+)`", row[1])]
+
+
+def test_claim_map_names_exported_functions():
+    named = claim_map_functions()
+    assert len(named) >= 6
+    modules = {mod: importlib.import_module(f"jlkit.{mod}") for mod, _ in named}
+    not_exported = [f"{mod}.{fn}" for mod, fn in named
+                    if fn not in modules[mod].__all__ or not inspect.isfunction(getattr(modules[mod], fn))]
+    assert not_exported == []
 
 
 def test_walkthrough_runs(tmp_path, monkeypatch, capsys):
