@@ -223,7 +223,7 @@ def check_perturbation_robustness(
     sq = sq_dist_matrix(data.points)
     _, best = kmeans.brute_force_optimum_sq_dists(sq, k)
     block_cost = kmeans._block_costs(sq)
-    # Every cost term is non-negative, so rounding stays near m eps of the
+    # Every cost term is non-negative, so rounding stays near m^2 eps of the
     # exact costs, far inside the 1e-9 slack.
     bound = (1.0 + 1e-9) * best
     candidates = kmeans._candidates(kmeans._partition_masks(data.m, k), sq, block_cost, bound / s**4)

@@ -29,7 +29,6 @@ __all__ = [
     "sq_dists_to",
     "distortion_report",
     "estimate_failure_rate",
-    "wilson_interval",
     "export_histogram",
 ]
 
@@ -259,12 +258,12 @@ def estimate_failure_rate(
         trials=trials,
         failures=failures,
         rate=failures / trials,
-        wilson_interval=wilson_interval(failures, trials),
+        wilson_interval=_wilson_interval(failures, trials),
         extremes=tuple(extremes),
     )
 
 
-def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+def _wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     """95% Wilson score interval of successes/trials; well-behaved at small trial counts."""
     if trials < 1:
         raise DomainError("trials must be >= 1")

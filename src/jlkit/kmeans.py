@@ -299,20 +299,29 @@ def _partition_masks(m: int, k: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=4)
-def _subset_table(m: int) -> tuple[np.ndarray, np.ndarray]:
-    # Read-only, by bitmask: the 2^m x m 0/1 membership table of every
-    # subset and every subset's size, 1 for the empty set.
-    members = ((np.arange(1 << m)[:, None] >> np.arange(m)[None, :]) & 1).astype(np.float64)
-    sizes = np.maximum(members.sum(axis=1), 1.0)
-    members.flags.writeable = sizes.flags.writeable = False
-    return members, sizes
+def _subset_table(m: int) -> np.ndarray:
+    # Read-only, by bitmask: every subset's size, 1 for the empty set.
+    sizes = np.maximum(sum((np.arange(1 << m) >> i) & 1 for i in range(m)), 1).astype(np.float64)
+    sizes.flags.writeable = False
+    return sizes
 
 
 def _block_costs(sq: np.ndarray) -> np.ndarray:
-    # The cost of each of the 2^m subsets, indexed by bitmask: (1/size) times
-    # the sum of sq[i, j] over unordered pairs i < j in it (0 when empty).
-    members, sizes = _subset_table(sq.shape[0])
-    return 0.5 * np.einsum("si,si->s", members @ sq, members) / sizes
+    # The cost of each of the 2^m subsets, indexed by bitmask: half the sum of
+    # sq[i, j] over i, j in it, over its size (0 when empty).  Additions only;
+    # rounding near m^2 eps of the exact sums, and an inf entry gives inf, not
+    # NaN.  cross[h, S] = sq[h, h] / 2 + sum_{i in S} sym[i, h] for S below h,
+    # filled by doubling over j; pair grows by each subset's highest element.
+    m = sq.shape[0]
+    sym = 0.5 * sq + 0.5 * sq.T
+    cross = np.empty((m, 1 << (m - 1)))
+    cross[:, 0] = 0.5 * np.diagonal(sym)
+    for j in range(m - 1):
+        cross[j + 1:, 1 << j:2 << j] = cross[j + 1:, :1 << j] + sym[j, j + 1:, None]
+    pair = np.zeros(1 << m)
+    for h in range(m):
+        pair[1 << h:2 << h] = pair[:1 << h] + cross[h, :1 << h]
+    return pair / _subset_table(m)
 
 
 def _chunk_costs(block_cost: np.ndarray, masks: np.ndarray):
@@ -378,7 +387,8 @@ def _greedy_cost(sq: np.ndarray, block_cost: np.ndarray, k: int) -> float:
 def _candidates(masks: np.ndarray, sq: np.ndarray, block_cost: np.ndarray, bound: float) -> np.ndarray:
     # The columns of the table masks whose group's lower bound is at most
     # bound (1 + 1e-9), in table order; masks itself when the bound does not
-    # hold (m <= _PREFIX, a negative entry, a non-finite cost) or most survive.
+    # hold (m <= _PREFIX, a negative entry, a non-finite cost, as an inf entry
+    # makes) or most survive.
     m = sq.shape[0]
     if m <= _PREFIX or not (sq.min() >= 0.0 and np.isfinite(block_cost).all()):
         return masks

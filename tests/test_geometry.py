@@ -11,13 +11,13 @@ from jlkit.datagen import MixtureSpec, generate
 from jlkit.dimension import implicit_dimension
 from jlkit.errors import DegenerateDataError, DomainError, ShapeError
 from jlkit.geometry import (
+    _wilson_interval,
     distortion_report,
     estimate_failure_rate,
     export_histogram,
     pairwise_sq_dists,
     sq_dist_matrix,
     sq_dists_to,
-    wilson_interval,
 )
 from jlkit.projection import Dataset, build_operator, project
 
@@ -208,7 +208,7 @@ class TestFailureRate:
 
 class TestWilson:
     def test_known_value(self):
-        lo, hi = wilson_interval(5, 10)
+        lo, hi = _wilson_interval(5, 10)
         assert lo == pytest.approx(0.2365, abs=2e-4)
         assert hi == pytest.approx(0.7635, abs=2e-4)
 
@@ -216,7 +216,7 @@ class TestWilson:
     @settings(max_examples=100)
     def test_contains_point_estimate(self, f, t):
         f = min(f, t)
-        lo, hi = wilson_interval(f, t)
+        lo, hi = _wilson_interval(f, t)
         assert 0.0 <= lo <= f / t <= hi <= 1.0
 
 

@@ -1,6 +1,7 @@
 import csv
 import functools
 import itertools
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -450,6 +451,20 @@ def test_oracle_matches_exact_reference(case):
         assert np.array_equal(part.assignments, labels)
 
 
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("k", [3, 4])
+def test_overflowed_distances_keep_the_exact_optimum(seed, k):
+    # Points 3 and 6 lie 1e200 from the rest, so every squared distance to
+    # them overflows to inf: a block holding either with another point
+    # costs inf, and the optimum keeps each of them alone at a finite cost.
+    points = np.random.default_rng(seed).standard_normal((7, 2))
+    points[3], points[6] = (-1e200, 0.0), (1e200, 0.0)
+    cost, labels = exact_optimum(points, k)
+    part, found = brute_force_optimum_sq_dists(sq_dist_matrix(points), k)
+    assert np.array_equal(part.assignments, labels)
+    assert found == pytest.approx(float(cost), rel=1e-12)
+
+
 @pytest.mark.parametrize("k", [3, 4])
 @pytest.mark.parametrize("points", [
     np.random.default_rng(7).standard_normal((12, 3)),
@@ -545,9 +560,10 @@ class TestPruning:
     def test_slack_keeps_a_bound_met_exactly(self):
         # Points 0..6 form one block and point 8 lies at 0 from each of them,
         # so the optimum {0..6, 8}, {7} costs its group's bound exactly; in
-        # floating point the bound reads one ulp above that cost.
+        # floating point the bound reads one ulp above that cost.  The block
+        # costs (1/8 of the pair sum exactly) round that way for seed 66.
         sq = np.zeros((9, 9))
-        sq[:7, :7] = sq_dist_matrix(np.random.default_rng(5).standard_normal((7, 3)))
+        sq[:7, :7] = sq_dist_matrix(np.random.default_rng(66).standard_normal((7, 3)))
         sq[7, :] = sq[:, 7] = 100.0
         sq[7, 7] = 0.0
         block_cost = kmeans._block_costs(sq)
@@ -625,19 +641,32 @@ class TestOracleMemo:
         assert oracle_calls[0] == 1 + 5
 
     def test_subset_table_is_shared_and_read_only(self):
-        table = kmeans._subset_table(5)
-        assert kmeans._subset_table(5) is table
-        members, sizes = table
-        assert not members.flags.writeable and not sizes.flags.writeable
-        assert members.shape == (32, 5)
-        assert np.array_equal(sizes, np.maximum(members.sum(axis=1), 1.0))
+        sizes = kmeans._subset_table(5)
+        assert kmeans._subset_table(5) is sizes
+        assert not sizes.flags.writeable
+        assert sizes.tolist() == [max(bin(s).count("1"), 1) for s in range(32)]
 
-    def test_block_costs_match_sizes_summed_per_call(self):
-        for m in range(1, 13):
-            sq = sq_dist_matrix(np.random.default_rng(m).standard_normal((m, 3)))
-            members = kmeans._subset_table(m)[0]
-            expected = 0.5 * np.einsum("si,si->s", members @ sq, members) / np.maximum(members.sum(axis=1), 1.0)
-            assert kmeans._block_costs(sq).tobytes() == expected.tobytes()
+    @pytest.mark.parametrize("kind", ["euclidean", "asymmetric", "integer"])
+    def test_block_costs_match_exact_sums(self, kind):
+        # Every subset's half sum of sq over its ordered pairs, diagonal
+        # included, over its size: fsum rounds that sum once, so integer
+        # input (every partial sum exact) matches bit for bit.
+        for m in range(1, 11):
+            rng = np.random.default_rng(m)
+            sq = {
+                "euclidean": lambda: sq_dist_matrix(rng.standard_normal((m, 3))),
+                "asymmetric": lambda: rng.uniform(0.0, 5.0, size=(m, m)),
+                "integer": lambda: rng.integers(0, 1000, size=(m, m)).astype(float),
+            }[kind]()
+            expected = np.array([
+                0.5 * math.fsum(sq[i, j] for i in members for j in members) / max(len(members), 1)
+                for members in ([i for i in range(m) if s >> i & 1] for s in range(1 << m))
+            ])
+            found = kmeans._block_costs(sq)
+            if kind == "integer":
+                assert found.tobytes() == expected.tobytes()
+            else:
+                assert np.all(np.abs(found - expected) <= m * m * np.finfo(float).eps * expected)
 
 
 class TestVarMerge:
