@@ -560,8 +560,9 @@ class TestPruning:
     def test_slack_keeps_a_bound_met_exactly(self):
         # Points 0..6 form one block and point 8 lies at 0 from each of them,
         # so the optimum {0..6, 8}, {7} costs its group's bound exactly; in
-        # floating point the bound reads one ulp above that cost.  The block
-        # costs (1/8 of the pair sum exactly) round that way for seed 66.
+        # floating point the bound reads one ulp above that cost: the optimum
+        # is the pair sum of 0..6 over 8, exact, and for seed 66 the bound,
+        # 7/8 of that sum over 7, rounds up.
         sq = np.zeros((9, 9))
         sq[:7, :7] = sq_dist_matrix(np.random.default_rng(66).standard_normal((7, 3)))
         sq[7, :] = sq[:, 7] = 100.0
@@ -654,10 +655,10 @@ class TestOracleMemo:
         for m in range(1, 11):
             rng = np.random.default_rng(m)
             sq = {
-                "euclidean": lambda: sq_dist_matrix(rng.standard_normal((m, 3))),
-                "asymmetric": lambda: rng.uniform(0.0, 5.0, size=(m, m)),
-                "integer": lambda: rng.integers(0, 1000, size=(m, m)).astype(float),
-            }[kind]()
+                "euclidean": sq_dist_matrix(rng.standard_normal((m, 3))),
+                "asymmetric": rng.uniform(0.0, 5.0, size=(m, m)),
+                "integer": rng.integers(0, 1000, size=(m, m)).astype(float),
+            }[kind]
             expected = np.array([
                 0.5 * math.fsum(sq[i, j] for i in members for j in members) / max(len(members), 1)
                 for members in ([i for i in range(m) if s >> i & 1] for s in range(1 << m))
