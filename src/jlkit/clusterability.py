@@ -206,13 +206,11 @@ def check_perturbation_robustness(
     original, and so does every partition's cost.  A partition costing
     more than 1/s^4 times the optimum therefore costs more than the
     optimum under every perturbation: only the rest, the rivals, are
-    costed per trial, from one enumeration of the unperturbed instance.
-    That enumeration skips, as the oracle does, each run of partitions
-    labelling points 0..7 alike whose lower bound exceeds 1/s^4 times the
-    optimum (1 + 1e-9), so every rival, tied ones included, is found.
-    When the optimum is its own only rival, True is a proof of
-    robustness and no factors are drawn; otherwise it is evidence, not
-    a proof.
+    costed per trial.  They are found once, as the oracle enumerates, with
+    groups whose lower bound exceeds 1/s^4 times the optimum (1 + 1e-9)
+    skipped, and only their masks are built.  When the optimum is its own
+    only rival, True is a proof of robustness and no factors are drawn;
+    otherwise it is evidence, not a proof.
     """
     if not 0.0 < s < 1.0:
         raise DomainError(f"s must lie in (0, 1), got {s}")
@@ -226,18 +224,11 @@ def check_perturbation_robustness(
     # Every cost term is non-negative, so rounding stays near m^2 eps of the
     # exact costs, far inside the 1e-9 slack.
     bound = (1.0 + 1e-9) * best
-    candidates = kmeans._candidates(kmeans._partition_masks(data.m, k), sq, block_cost, bound / s**4)
-    near = [start + np.flatnonzero(s**4 * costs <= bound)
-            for start, costs in kmeans._chunk_costs(block_cost, candidates)]
-    keep = np.concatenate(near)
-    # Every candidate a rival: use it as it is, not a copy; unpruned, that
-    # is the cached table (15.1 MiB at (12, 6)).
-    rivals = candidates if keep.size == candidates.shape[1] else candidates[:, keep]
+    rivals = kmeans._partitions_within(sq, block_cost, k, bound, s**4)
     if rivals.shape[1] <= 1:
         return True
-    # Rivals keep the enumeration order, so the first perturbed minimum
-    # among them is the first overall, as a full enumeration finds it.
-    reference = kmeans._first_minimum(block_cost, rivals)[0]
+    # In enumeration order: the first perturbed minimum among them is the first overall.
+    reference = kmeans._first_minimum(kmeans._chunk_costs(block_cost, rivals))[0]
     rng = np.random.default_rng(seed)
     m = data.m
     iu = np.triu_indices(m, 1)
@@ -246,7 +237,7 @@ def check_perturbation_robustness(
         draw = rng.uniform(s, 1.0 / s, size=iu[0].size)
         factors[iu] = draw
         factors[(iu[1], iu[0])] = draw
-        perturbed_sq = sq * factors**2  # factors act on distances, costs use squares
-        if kmeans._first_minimum(kmeans._block_costs(perturbed_sq), rivals)[0] != reference:
+        perturbed = kmeans._block_costs(sq * factors**2)  # factors act on distances, costs use squares
+        if kmeans._first_minimum(kmeans._chunk_costs(perturbed, rivals))[0] != reference:
             return False
     return True

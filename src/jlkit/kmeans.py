@@ -59,6 +59,8 @@ class Partition:
         self.assignments = np.asarray(self.assignments, dtype=np.int64)
         if self.assignments.ndim != 1:
             raise ShapeError("assignments must be a 1-D vector")
+        if self.assignments.size == 0:
+            raise ShapeError("assignments must not be empty")
         if self.k < 1:
             raise DomainError(f"k must be >= 1, got {self.k}")
         present = np.unique(self.assignments)
@@ -181,6 +183,8 @@ def cluster_stats(data: Dataset, partition: Partition) -> ClusterStats:
 
 def random_partition(rng: np.random.Generator, m: int, k: int) -> Partition:
     """Uniform labels in 0..k-1 for m points, redrawn until every cluster is nonempty."""
+    if not 1 <= k <= m:
+        raise DomainError(f"need 1 <= k <= m, got k={k}, m={m}")
     while True:
         labels = rng.integers(0, k, size=m)
         if np.unique(labels).size == k:
@@ -245,13 +249,13 @@ def lloyd(data: Dataset, k: int, init: Partition | int = 0) -> tuple[Partition, 
 # Exact oracle: exhaustive enumeration of set partitions into k blocks.
 
 # Largest number of partitions S(m, k) the oracle enumerates: every m <= 12
-# and (14, 3).  At m = 14, k in 4..9 has 5M-63M, too many to hold even as
-# uint16; larger k needs the subset dynamic program over the 2^m block costs.
+# and (14, 3).  At m = 14, k in 4..9 has 5M-63M, too many to cost one by
+# one; larger k needs the subset dynamic program over the 2^m block costs.
 # Pruning does not lift the cap: when no group can be ruled out (ties,
 # duplicates, a non-metric input) every partition is still costed.
 PARTITION_CAP = 1 << 22
 _COST_CHUNK = 1 << 14  # partitions costed at once; at 2^14 their temporaries stay in L2
-_PREFIX = 8  # elements whose labels define a group of partitions for pruning
+_PREFIX = 8  # a partition: a labelling of elements 0.._PREFIX-1 (its group) and one of the rest
 
 
 def _check_oracle_size(m: int, k: int) -> None:
@@ -265,37 +269,44 @@ def _check_oracle_size(m: int, k: int) -> None:
         raise DomainError(f"S({m}, {k}) = {count} partitions exceeds the cap {PARTITION_CAP}")
 
 
-@functools.lru_cache(maxsize=4)
-def _partition_masks(m: int, k: int) -> np.ndarray:
-    """All partitions of {0..m-1} into exactly k nonempty blocks.
-
-    A read-only (k, count) uint16 array of bitmasks (room for m <= 16), cached for
-    the four most recent (m, k) (the (14, 3) table is 4.5 MiB): column c
-    is partition c in restricted growth string order (lexicographic in the
-    assignment vector), row j the block whose smallest member appears j-th.
-    The strings grow one element at a time, children in label order.
-    """
-    _check_oracle_size(m, k)
-    masks = np.zeros((k, 1), dtype=np.uint16)
-    masks[0, 0] = 1
-    used = np.ones(1, dtype=np.int8)
-    for i in range(1, m):
+def _grow(used: np.ndarray, elements: range, m: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    # Labels the elements in turn after rows with used blocks each, children in
+    # label order, keeping rows that can still end with k blocks of {0..m-1}:
+    # k x rows block bitmasks and used counts, in restricted growth string order.
+    masks = np.zeros((k, used.size), dtype=np.intp)
+    for i in elements:
         # Labels lo..min(used, k-1) for element i; a row that needs every
         # remaining element to open a new block only takes the new label.
         lo = np.where(used + (m - 1 - i) >= k, 0, used)
         counts = np.minimum(used, k - 1) - lo + 1
         # A child's label: its parent's lo plus its rank among its siblings.
-        ends = np.cumsum(counts, dtype=np.int32)
-        label = np.arange(ends[-1], dtype=np.int32)
-        label -= np.repeat(ends - counts - lo, counts)
-        label = label.astype(np.int8)
+        ends = np.cumsum(counts)
+        label = np.arange(ends[-1]) - np.repeat(ends - counts - lo, counts)
         masks = np.repeat(masks, counts, axis=1)
-        for j, row in enumerate(masks):
-            np.bitwise_or(row, 1 << i, out=row, where=label == j)
-        if i < m - 1:
-            used = np.maximum(np.repeat(used, counts), label + 1)
-    masks.flags.writeable = False
-    return masks
+        masks[label, np.arange(label.size)] |= 1 << i
+        used = np.maximum(np.repeat(used, counts), label + 1)
+    return masks, used
+
+
+@functools.lru_cache(maxsize=4)
+def _factors(m: int, k: int):
+    # Read-only, the partitions into k blocks in RGS order: prefix q (k x groups
+    # block bitmasks of elements below _PREFIX) with completion c < length[q], the
+    # masks of the rest shifted down by _PREFIX in comps[:, base[q] + c], is
+    # partition starts[q] + c.  weight: |P_b| / (|P_b| + m - _PREFIX) per block.
+    _check_oracle_size(m, k)
+    p = min(m, _PREFIX)
+    prefix, used = _grow(np.zeros(1, dtype=np.intp), range(p), m, k)
+    classes, cls = np.unique(used, return_inverse=True)
+    comps = [_grow(np.array([u]), range(p, m), m, k)[0] >> _PREFIX for u in classes]
+    bounds = np.cumsum([0] + [comp.shape[1] for comp in comps])
+    base, length = bounds[cls], np.diff(bounds)[cls]
+    comps, starts = np.concatenate(comps, axis=1), np.concatenate(([0], np.cumsum(length)))
+    size = sum((prefix >> i) & 1 for i in range(p))
+    weight = size / (size + (m - p))
+    for table in (prefix, base, length, comps, starts, weight):
+        table.flags.writeable = False
+    return prefix, base, length, comps, starts, weight
 
 
 @functools.lru_cache(maxsize=4)
@@ -324,55 +335,57 @@ def _block_costs(sq: np.ndarray) -> np.ndarray:
     return pair / _subset_table(m)
 
 
+def _group_costs(factors, sq: np.ndarray, block_cost: np.ndarray, bound: float):
+    # (offsets, costs) per chunk of at most _COST_CHUNK partitions of the groups
+    # whose lower bound is at most bound (1 + 1e-9), or of all when it does not
+    # hold (m <= _PREFIX, a negative entry, a non-finite cost).  costs[i, c] is
+    # partition offsets[i] + c, summed block by block from the block costs laid
+    # out as [prefix bits, completion bits]: prefix rows, completion columns.
+    prefix, base, length, comps, starts, weight = factors
+    groups = np.arange(prefix.shape[1])
+    if sq.shape[0] > _PREFIX and sq.min() >= 0.0 and np.isfinite(block_cost).all():
+        groups = np.flatnonzero((block_cost[prefix] * weight).sum(axis=0) <= bound * (1.0 + 1e-9))
+    table = block_cost.reshape(-1, min(block_cost.size, 1 << _PREFIX)).T.copy()
+    for first in dict.fromkeys(base[groups].tolist()):
+        rows = groups[base[groups] == first]
+        comp = comps[:, first:first + length[rows[0]]]
+        step = max(1, _COST_CHUNK // comp.shape[1])
+        for q in (rows[i:i + step] for i in range(0, rows.size, step)):
+            costs = table[prefix[0, q]].take(comp[0], axis=1)
+            for j in range(1, comp.shape[0]):
+                costs += table[prefix[j, q]].take(comp[j], axis=1)
+            yield starts[q], costs
+
+
 def _chunk_costs(block_cost: np.ndarray, masks: np.ndarray):
-    # (first column, costs) per cache-sized chunk of the partitions in masks,
-    # cast to intp once per chunk, not per gather.  Each cost is summed block
-    # by block: the order of numpy's row sum for k <= 7.
+    # (offsets, costs) as _group_costs gives them, per chunk of the uint16 masks.
     for start in range(0, masks.shape[1], _COST_CHUNK):
         chunk = masks[:, start:start + _COST_CHUNK].astype(np.intp)
         costs = block_cost[chunk[0]]
         for row in chunk[1:]:
             costs += block_cost[row]
-        yield start, costs
+        yield (start,), costs[None]
 
 
-def _first_minimum(block_cost: np.ndarray, masks: np.ndarray) -> tuple[int, float]:
-    # Column and cost of the first cheapest partition of masks.  The first
-    # minimum of the chunk minima is the first minimum overall.
-    firsts, minima = [], []
-    for start, costs in _chunk_costs(block_cost, masks):
-        i = int(np.argmin(costs))
-        firsts.append(start + i)
-        minima.append(costs[i])
-    chunk = int(np.argmin(minima))
-    return firsts[chunk], float(minima[chunk])
+def _first_minimum(chunks) -> tuple[int, float]:
+    # Index and cost of the first cheapest partition, whatever the chunks' order.
+    found = sorted((int(offsets[i]) + c, costs[i, c]) for offsets, costs in chunks
+                   for i, c in [divmod(int(np.argmin(costs)), costs.shape[1])])
+    index, cost = found[int(np.argmin([cost for _, cost in found]))]
+    return index, float(cost)
 
 
-@functools.lru_cache(maxsize=4)
-def _prefix_groups(m: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # The table's columns that label elements 0.._PREFIX-1 alike form one
-    # contiguous group, the table being in RGS order.  Read-only: each
-    # group's first column, then the table width; the k x groups block
-    # masks of its prefix; and their weights |P| / (|P| + m - _PREFIX).
-    masks = _partition_masks(m, k)
-    low = (1 << _PREFIX) - 1
-    new = np.zeros(masks.shape[1], dtype=bool)
-    new[0] = True
-    for row in masks:  # row by row: no temporary as large as the table
-        prefix = row & low
-        new[1:] |= prefix[1:] != prefix[:-1]
-    starts = np.append(np.flatnonzero(new), masks.shape[1])
-    prefix = (masks[:, starts[:-1]] & low).astype(np.intp)
-    size = sum((prefix >> i) & 1 for i in range(_PREFIX))
-    weight = size / (size + (m - _PREFIX))
-    starts.flags.writeable = prefix.flags.writeable = weight.flags.writeable = False
-    return starts, prefix, weight
+def _partitions_at(factors, index: np.ndarray) -> np.ndarray:
+    # The k x len(index) uint16 block bitmasks of the partitions at the RGS indices index.
+    prefix, base, _, comps, starts, _ = factors
+    q = np.searchsorted(starts, index, side="right") - 1
+    return (prefix[:, q] | comps[:, base[q] + index - starts[q]] << _PREFIX).astype(np.uint16)
 
 
 def _greedy_cost(sq: np.ndarray, block_cost: np.ndarray, k: int) -> float:
     # The cost of a farthest-first partition (k centres from element 0, each
-    # point with its nearest), added block by block in RGS order as the
-    # table adds a column; inf when a block comes out empty.
+    # point with its nearest), added block by block in RGS order as a
+    # partition's cost is; inf when a block comes out empty.
     centres, near = [0], sq[0]
     for _ in range(1, k):
         centres.append(int(np.argmax(near)))
@@ -384,21 +397,18 @@ def _greedy_cost(sq: np.ndarray, block_cost: np.ndarray, k: int) -> float:
     return float(sum(block_cost[blocks[np.argsort(blocks & -blocks)]]))
 
 
-def _candidates(masks: np.ndarray, sq: np.ndarray, block_cost: np.ndarray, bound: float) -> np.ndarray:
-    # The columns of the table masks whose group's lower bound is at most
-    # bound (1 + 1e-9), in table order; masks itself when the bound does not
-    # hold (m <= _PREFIX, a negative entry, a non-finite cost, as an inf entry
-    # makes) or most survive.
-    m = sq.shape[0]
-    if m <= _PREFIX or not (sq.min() >= 0.0 and np.isfinite(block_cost).all()):
-        return masks
-    starts, prefix, weight = _prefix_groups(m, masks.shape[0])
-    keep = np.flatnonzero((block_cost[prefix] * weight).sum(axis=0) <= bound * (1.0 + 1e-9))
-    lengths = starts[keep + 1] - starts[keep]
-    total = int(lengths.sum())
-    if 2 * total > masks.shape[1]:
-        return masks
-    return masks[:, np.repeat(starts[keep] - (np.cumsum(lengths) - lengths), lengths) + np.arange(total)]
+def _partitions_within(sq: np.ndarray, block_cost: np.ndarray, k: int, bound: float, scale: float):
+    # The k x n uint16 block bitmasks, in RGS order, of every partition whose
+    # cost times scale is at most bound, built chunk by chunk.
+    factors = _factors(sq.shape[0], k)
+    chunks = _group_costs(factors, sq, block_cost, bound / scale)
+    index = np.concatenate([(offsets[:, None] + np.arange(costs.shape[1]))[scale * costs <= bound]
+                            for offsets, costs in chunks])
+    index.sort()
+    masks = np.empty((k, index.size), dtype=np.uint16)
+    for start in range(0, index.size, _COST_CHUNK):
+        masks[:, start:start + _COST_CHUNK] = _partitions_at(factors, index[start:start + _COST_CHUNK])
+    return masks
 
 
 def brute_force_optimum_sq_dists(sq: np.ndarray, k: int) -> tuple[Partition, float]:
@@ -407,22 +417,21 @@ def brute_force_optimum_sq_dists(sq: np.ndarray, k: int) -> tuple[Partition, flo
     Ties break toward the lexicographically smallest assignment vector.
     Limited to m <= BRUTE_FORCE_MAX_POINTS and S(m, k) <= PARTITION_CAP.
 
-    For m > 8 and every entry of sq non-negative, only the partitions that
-    can still be optimal are costed.  The partitions that label elements
-    0..7 alike form one run of the enumeration, and each costs at least
-    sum_b cost(P_b) |P_b| / (|P_b| + m - 8) over that prefix's blocks P_b:
-    a block holds the pairs of its prefix and more, and at most m - 8 more
-    points.  A run is skipped when that bound exceeds, by more than 1e-9
+    The partitions labelling elements 0..7 alike form one group, costed from
+    small tables of prefixes and completions, not a table of all S(m, k).
+    For m > 8 and every entry of sq non-negative, each partition of a group
+    costs at least sum_b cost(P_b) |P_b| / (|P_b| + m - 8) over the prefix's
+    blocks P_b: a block holds the pairs of its prefix and at most m - 8 more
+    points.  A group is skipped when that bound exceeds, by more than 1e-9
     relative, the cost of a farthest-first partition.  The slack is far
-    above the rounding of these sums of non-negative terms, so every
-    optimal partition, tied ones included, survives in enumeration order
-    and the result is the full enumeration's, bit for bit.
+    above the rounding of these sums of non-negative terms, so every optimal
+    partition, tied ones included, is costed and the result is the full
+    enumeration's, bit for bit.
     """
-    masks = _partition_masks(sq.shape[0], k)  # checks the size before any allocation
+    factors = _factors(sq.shape[0], k)  # checks the size before any allocation
     block_cost = _block_costs(sq)
-    masks = _candidates(masks, sq, block_cost, _greedy_cost(sq, block_cost, k))
-    first, cost = _first_minimum(block_cost, masks)
-    labels = np.argmax((masks[:, first, None] >> np.arange(sq.shape[0])) & 1, axis=0)
+    first, cost = _first_minimum(_group_costs(factors, sq, block_cost, _greedy_cost(sq, block_cost, k)))
+    labels = np.argmax((_partitions_at(factors, np.array([first])) >> np.arange(sq.shape[0])) & 1, axis=0)
     return Partition(assignments=labels, k=k), cost
 
 

@@ -339,10 +339,11 @@ class TestPerturbationRobustness:
             assert oracle_calls[0] == 1
 
     def test_every_partition_a_rival_copies_no_mask_table(self):
-        # At (12, 6) the cached mask table holds 1,323,652 partitions
-        # (15.1 MiB); at s = 0.1 every one of them is a rival.
+        # At (12, 6) and s = 0.1 every one of the 1,323,652 partitions is a
+        # rival: their masks take 15.1 MiB, built once.  Measured cold, the
+        # factor tables built while tracing.
         data = Dataset(points=np.random.default_rng(0).standard_normal((12, 3)))
-        kmeans._partition_masks(12, 6)  # built before tracing
+        kmeans._factors.cache_clear()
         tracemalloc.start()
         try:
             check_perturbation_robustness(data, 6, 0.1, trials=2, seed=0)

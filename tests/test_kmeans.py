@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from jlkit import kmeans
 from jlkit.datagen import MixtureSpec, generate
-from jlkit.errors import DegenerateDataError, DomainError, NumericalError
+from jlkit.errors import DegenerateDataError, DomainError, NumericalError, ShapeError
 from jlkit.geometry import sq_dist_matrix
 from jlkit.kmeans import (
     Partition,
@@ -219,6 +219,42 @@ class TestPartitionValidation:
         with pytest.raises(DomainError):
             Partition(assignments=np.array([0, 1, 3]), k=3)
 
+    def test_empty_assignments_rejected(self):
+        with pytest.raises(ShapeError):
+            Partition(assignments=[], k=1)
+
+
+class StoppingRng:
+    # A generator whose integers() raises after a few draws, so a call that
+    # would redraw forever fails instead of hanging.
+    def __init__(self, draws):
+        self.rng, self.left = np.random.default_rng(0), draws
+
+    def integers(self, *args, **kwargs):
+        self.left -= 1
+        if self.left < 0:
+            raise RuntimeError("too many draws")
+        return self.rng.integers(*args, **kwargs)
+
+
+class TestRandomPartition:
+    @pytest.mark.parametrize("m, k", [(3, 5), (0, 1), (4, 0), (4, -1)])
+    def test_infeasible_k_raises_before_any_draw(self, m, k):
+        rng = StoppingRng(draws=0)
+        with pytest.raises(DomainError):
+            random_partition(rng, m, k)
+
+    def test_draws_unchanged(self):
+        # Uniform labels redrawn until every cluster is used, from the
+        # generator's integers() stream.
+        for m, k in [(1, 1), (3, 3), (8, 2), (40, 4)]:
+            rng, expected = np.random.default_rng(m + k), np.random.default_rng(m + k)
+            labels = expected.integers(0, k, size=m)
+            while np.unique(labels).size != k:
+                labels = expected.integers(0, k, size=m)
+            assert np.array_equal(random_partition(rng, m, k).assignments, labels)
+            assert rng.integers(1 << 30) == expected.integers(1 << 30)
+
 
 class TestLloyd:
     def test_k1_closed_form(self):
@@ -354,14 +390,28 @@ def stirling2(m, k):
     return k * stirling2(m - 1, k) + stirling2(m - 1, k - 1)
 
 
-@functools.cache
-def restricted_growth_strings(m):
+def rgs_by_definition(m):
     # Every assignment vector with a[0] = 0 and a[i] <= max(a[:i]) + 1, in
-    # lexicographic order.
+    # lexicographic order, filtered from all of range(1) x ... x range(m).
     return [
         labels for labels in itertools.product(*(range(i + 1) for i in range(m)))
         if all(a <= top + 1 for a, top in zip(labels[1:], itertools.accumulate(labels, max)))
     ]
+
+
+@functools.cache
+def restricted_growth_strings(m):
+    # rgs_by_definition(m), built by extending each string with every label
+    # it admits, in increasing order: Bell(m) strings, not m! candidates.
+    strings = [((), -1)]
+    for _ in range(m):
+        strings = [(labels + (a,), max(top, a)) for labels, top in strings for a in range(top + 2)]
+    return [labels for labels, _ in strings]
+
+
+def test_restricted_growth_strings_match_definition():
+    for m in range(8):
+        assert restricted_growth_strings(m) == rgs_by_definition(m)
 
 
 def partitions_into(m, k):
@@ -386,49 +436,77 @@ def exact_optimum(points, k):
 
 def reference_masks(m, k):
     # One row of block bitmasks per partition, in restricted growth order.
-    return np.array([
-        [sum(1 << i for i, a in enumerate(labels) if a == j) for j in range(k)]
-        for labels in partitions_into(m, k)
-    ])
+    labels = np.array(partitions_into(m, k)).reshape(-1, m)
+    return (labels[:, None, :] == np.arange(k)[:, None]) @ (1 << np.arange(m))
+
+
+def expand(m, k):
+    # Every partition the oracle's factor tables describe, group by group:
+    # prefix q with each completion of its class, as k x S(m, k) bitmasks.
+    prefix, base, length, comps, starts, _ = kmeans._factors(m, k)
+    groups = [prefix[:, [q]] | comps[:, base[q]:base[q] + length[q]] << kmeans._PREFIX
+              for q in range(prefix.shape[1])]
+    assert np.array_equal(np.diff(starts), [g.shape[1] for g in groups])
+    return np.concatenate(groups, axis=1)
 
 
 class TestPartitionMasks:
-    @pytest.mark.parametrize("m", range(1, 10))
+    @pytest.mark.parametrize("m", range(1, 11))
     def test_matches_restricted_growth_reference(self, m):
+        # From m = 9 the completions span one element, from m = 10 two.
         for k in range(1, m + 1):
-            masks = kmeans._partition_masks(m, k)
+            masks = expand(m, k)
             assert masks.shape == (k, stirling2(m, k))
             assert np.array_equal(masks.T, reference_masks(m, k))
+            found = kmeans._partitions_at(kmeans._factors(m, k), np.arange(masks.shape[1]))
+            assert found.dtype == np.uint16 and np.array_equal(found, masks)
 
     def test_cache_holds_at_most_four_tables(self):
-        kmeans._partition_masks.cache_clear()
-        pairs = [(5, 2), (6, 3), (7, 2), (7, 4), (8, 3)]
+        kmeans._factors.cache_clear()
+        pairs = [(5, 2), (6, 3), (7, 2), (7, 4), (9, 3)]
         for m, k in pairs:
-            kmeans._partition_masks(m, k)
-        assert kmeans._partition_masks.cache_info().currsize <= 4
+            kmeans._factors(m, k)
+        assert kmeans._factors.cache_info().currsize <= 4
         for m, k in pairs:
-            assert np.array_equal(kmeans._partition_masks(m, k).T, reference_masks(m, k))
+            assert np.array_equal(expand(m, k).T, reference_masks(m, k))
 
 
 class TestPartitionTableMemory:
     def test_uint16_and_read_only(self):
-        masks = kmeans._partition_masks(14, 3)
-        assert masks.dtype == np.uint16
-        with pytest.raises(ValueError):
-            masks[0, 0] = 0
+        factors = kmeans._factors(14, 3)
+        for table in factors:
+            with pytest.raises(ValueError):
+                table[(0,) * table.ndim] = 0
+        assert kmeans._partitions_at(factors, np.arange(3)).dtype == np.uint16
 
-    @pytest.mark.parametrize("m, k, bound_mib", [(14, 3, 20), (12, 6, 40)])
+    @pytest.mark.parametrize("m, k, bound_mib", [(14, 3, 1), (12, 6, 2)])
     def test_cold_build_peak(self, m, k, bound_mib):
-        # The tables take 4.5 and 15.1 MiB; a build through int64 arrays as
-        # wide as the table peaks at 60.3 and 130.9 MiB.
-        kmeans._partition_masks.cache_clear()
+        # The factor tables peak at 0.3 and 1.2 MiB; the full partition
+        # tables they replace took 4.5 and 15.1 MiB.
+        kmeans._factors.cache_clear()
         tracemalloc.start()
         try:
-            kmeans._partition_masks(m, k)
+            kmeans._factors(m, k)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < bound_mib * 2**20
+
+    def test_cold_oracle_call_builds_no_partition_table(self):
+        # The 5/5/4 mixture of the oracle-14 benchmark; a table of all
+        # S(14, 3) = 788,970 partitions would take 4.5 MiB.
+        data, _ = generate(MixtureSpec(k=3, sizes=(5, 5, 4), dim=500, centre_distance=10.0,
+                                       cluster_sigma=0.05, target_gap=1.0, seed=33))
+        sq = sq_dist_matrix(data.points)
+        kmeans._factors.cache_clear()
+        kmeans._subset_table.cache_clear()
+        tracemalloc.start()
+        try:
+            brute_force_optimum_sq_dists(sq, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
 
 # Integer coordinates in the tied cases: every pair sum is exact, so tied
@@ -474,8 +552,10 @@ def test_overflowed_distances_keep_the_exact_optimum(seed, k):
 def test_chunked_minimum_is_the_first_overall(points, k):
     # S(12, 3) = 86,526 and S(12, 4) = 611,501 partitions span more than one cost chunk.
     sq = sq_dist_matrix(points)
-    masks = kmeans._partition_masks(12, k)
+    masks = expand(12, k)
     assert masks.shape[1] > kmeans._COST_CHUNK
+    # At an infinite bound every group is costed, in more than one chunk.
+    assert len(list(kmeans._group_costs(kmeans._factors(12, k), sq, kmeans._block_costs(sq), math.inf))) > 1
     costs = kmeans._block_costs(sq)[masks].sum(axis=0)
     best = int(np.argmin(costs))
     expected = np.argmax((masks[:, best, None] >> np.arange(12)) & 1, axis=0)
@@ -485,10 +565,12 @@ def test_chunked_minimum_is_the_first_overall(points, k):
 
 
 def full_scan(sq, k):
-    # The oracle without pruning: the first cheapest column of the whole table.
-    masks = kmeans._partition_masks(sq.shape[0], k)
-    first, cost = kmeans._first_minimum(kmeans._block_costs(sq), masks)
-    return np.argmax((masks[:, first, None] >> np.arange(sq.shape[0])) & 1, axis=0), cost
+    # The oracle without pruning: the first cheapest partition of every
+    # group, none of which has a lower bound above inf.
+    factors = kmeans._factors(sq.shape[0], k)
+    first, cost = kmeans._first_minimum(kmeans._group_costs(factors, sq, kmeans._block_costs(sq), math.inf))
+    masks = kmeans._partitions_at(factors, np.array([first]))
+    return np.argmax((masks >> np.arange(sq.shape[0])) & 1, axis=0), cost
 
 
 def pruning_matrices(m, k, seed):
@@ -515,14 +597,16 @@ def pruning_matrices(m, k, seed):
 
 
 def costed_columns(monkeypatch):
-    # The number of columns of each table the oracle costs, in call order.
-    real, seen = kmeans._first_minimum, []
+    # The number of partitions each oracle call costs, in call order.
+    real, seen = kmeans._group_costs, []
 
-    def counted(block_cost, masks):
-        seen.append(masks.shape[1])
-        return real(block_cost, masks)
+    def counted(*args):
+        seen.append(0)
+        for offsets, costs in real(*args):
+            seen[-1] += costs.size
+            yield offsets, costs
 
-    monkeypatch.setattr(kmeans, "_first_minimum", counted)
+    monkeypatch.setattr(kmeans, "_group_costs", counted)
     return seen
 
 
