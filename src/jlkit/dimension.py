@@ -98,11 +98,11 @@ def pair_failure_bound(n_prime: int, n: int, delta: float) -> float:
 
 
 def _domain_edge(n: int, delta: float) -> int:
-    # Largest integer n' with n' * (1 + delta) < n.
+    # Largest n' with n' * (1 + delta) < n whose float n' * delta / (n - n') is also below 1.
     edge = int(n / (1.0 + delta))
-    while edge * (1.0 + delta) >= n:
+    while edge * (1.0 + delta) >= n or edge * delta / (n - edge) >= 1.0:
         edge -= 1
-    while (edge + 1) * (1.0 + delta) < n:
+    while (edge + 1) * (1.0 + delta) < n and (edge + 1) * delta / (n - edge - 1) < 1.0:
         edge += 1
     return edge
 

@@ -149,15 +149,15 @@ def _block_sums(labels: np.ndarray, k: int, *values: np.ndarray) -> list[np.ndar
 def cluster_stats(data: Dataset, partition: Partition) -> ClusterStats:
     """Centroids, sizes, variances and cost of a partition.
 
-    Each block's cost is sum |x|^2 - |sum x|^2 / n, from two passes over
-    the data: a GEMM for the block sums, a matrix-vector product for the
-    squared norms.  A block where that expansion cancels (sum |x|^2 more
-    than 100 times the cost, as for tight clusters far from the origin)
-    is recomputed by direct difference from its centroid, and a block of
-    bitwise-equal rows gets that row as centroid and cost exactly 0
-    (the detect-and-repair scheme of Chan, Golub and LeVeque, 1983).
-    The pairwise kernel, ``geometry.pairwise_sq_dists``, uses the same
-    guard with the same ratio.
+    Each block's cost is sum |x|^2 - |sum x|^2 / n, from a GEMM for the
+    block sums and a matrix-vector product for those of ``data.sq_norms``,
+    the squared norms the dataset computes once.  A block where that
+    expansion cancels (sum |x|^2 more than 100 times the cost, as for tight
+    clusters far from the origin) is recomputed by direct difference from
+    its centroid, and a block of bitwise-equal rows gets that row as
+    centroid and cost exactly 0 (the detect-and-repair scheme of Chan,
+    Golub and LeVeque, 1983).  The pairwise kernel,
+    ``geometry.pairwise_sq_dists``, uses the same guard with the same ratio.
     """
     if partition.m != data.m:
         raise ShapeError(f"partition covers {partition.m} points, dataset has {data.m}")
@@ -166,7 +166,7 @@ def cluster_stats(data: Dataset, partition: Partition) -> ClusterStats:
     # Squared norms past the float range make total or costs inf or NaN;
     # the negated test below repairs those blocks too.
     with np.errstate(over="ignore", invalid="ignore"):
-        sums, total = _block_sums(labels, partition.k, points, np.einsum("ij,ij->i", points, points))
+        sums, total = _block_sums(labels, partition.k, points, data.sq_norms)
         centroids = sums / sizes[:, None]
         costs = np.maximum(total - np.einsum("ij,ij->i", sums, centroids), 0.0)
     for j in np.flatnonzero(~(total <= _CANCELLATION_RATIO * costs)):

@@ -15,7 +15,7 @@ import os
 import stat
 import struct
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,18 +42,28 @@ _MAGIC = b"JLKIT-DATASET-01"  # exactly 16 bytes: magic + version
 _OPERATOR_STREAM = 0x6F70
 
 
-@dataclass
+@dataclass(frozen=True)
 class Dataset:
-    """An m x d matrix of points; a point is named by its row index."""
+    """An m x d matrix of points; a point is named by its row index.
+
+    Read-only, as are ``sq_norms``, the squared row norms, computed once:
+    writing later into the array passed in leaves them stale.
+    """
 
     points: np.ndarray
+    sq_norms: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.points = np.ascontiguousarray(self.points, dtype=np.float64)
-        if self.points.ndim != 2 or self.points.shape[0] < 1:
-            raise ShapeError(f"points must be a non-empty 2-D array, got shape {self.points.shape}")
-        if not np.all(np.isfinite(self.points)):
+        points = np.ascontiguousarray(self.points, dtype=np.float64).view()
+        if points.ndim != 2 or points.shape[0] < 1:
+            raise ShapeError(f"points must be a non-empty 2-D array, got shape {points.shape}")
+        # Finite norms mean finite entries; entries whose squares overflow pass.
+        sq_norms = np.einsum("ij,ij->i", points, points)
+        if not np.all(np.isfinite(sq_norms)) and not np.all(np.isfinite(points)):
             raise DomainError("dataset contains non-finite entries")
+        for name, value in (("points", points), ("sq_norms", sq_norms)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     @property
     def m(self) -> int:

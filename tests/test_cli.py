@@ -57,6 +57,14 @@ class TestDim:
         assert implicit < 500_000 / 1.01
         assert 2_000_000 * 1_999_999 / 2 * mp_pair_bound(implicit, 500_000, 0.01) <= 0.01
 
+    def test_domain_edge_where_the_ratio_rounds_to_one(self, capsys):
+        # At n' = 255000, n'(1 + delta) < n in float but n' delta / (n - n')
+        # rounds to exactly 1, so the bound is undefined there.
+        code, out, _ = run(capsys, "dim", "--m", "2", "--epsilon", "0.5", "--delta", "0.001",
+                           "--n", "255255")
+        assert code == 0
+        assert "n' implicit: 244022" in out
+
     def test_infeasible_exit_2(self, capsys):
         # At n = 10 no n' below n/(1+delta) makes 45 pairs fail with probability <= 0.01.
         code, _, err = run(capsys, "dim", "--m", "10", "--epsilon", "0.01", "--delta", "0.05",

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from jlkit.cli import main
 from jlkit.dimension import (
@@ -247,6 +247,8 @@ class TestImplicit:
         delta=st.floats(min_value=1e-3, max_value=0.499),
         n=st.integers(min_value=3, max_value=10**7),
     )
+    # n'(1 + delta) < n holds at n' = 255000, but n' delta / (n - n') rounds to 1.
+    @example(m=2, eps=0.5, delta=0.001, n=255255)
     @settings(max_examples=300, deadline=None)
     def test_bisection_returns_the_boundary(self, m, eps, delta, n):
         # The bound falls in n' (see the implicit_dimension docstring), so

@@ -100,6 +100,24 @@ def direct_costs(points, labels, k):
     return np.array([np.sum((points[labels == j] - points[labels == j].mean(axis=0)) ** 2) for j in range(k)])
 
 
+def per_call_norms_stats(points, labels, k):
+    # cluster_stats's cost and centroids as computed when each call took
+    # its own squared norms of the points; the dataset's sq_norms must
+    # leave both unchanged bit for bit.
+    sizes = np.bincount(labels, minlength=k)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums, total = kmeans._block_sums(labels, k, points, np.einsum("ij,ij->i", points, points))
+        centroids = sums / sizes[:, None]
+        costs = np.maximum(total - np.einsum("ij,ij->i", sums, centroids), 0.0)
+    for j in np.flatnonzero(~(total <= 100.0 * costs)):
+        block = points[labels == j]
+        if np.all(block == block[0]):
+            centroids[j], costs[j] = block[0], 0.0
+        else:
+            costs[j] = np.einsum("ij,ij->", block - centroids[j], block - centroids[j])
+    return float(np.dot(sizes, costs / sizes)), centroids
+
+
 def sum_sq_ratio(points, labels, k):
     # Each block's sum of squared norms over its cost.
     totals = np.array([np.sum(points[labels == j] ** 2) for j in range(k)])
@@ -117,6 +135,9 @@ class TestClusterStatsAccuracy:
         np.testing.assert_allclose(stats.sizes * stats.variances, ref, rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(stats.variances, ref / stats.sizes, rtol=1e-12, atol=0.0)
         assert stats.cost == pytest.approx(ref.sum(), rel=1e-12)
+        cost, centroids = per_call_norms_stats(points, labels, k)
+        assert stats.cost.hex() == cost.hex()
+        assert np.array_equal(stats.centroids, centroids)
         return stats
 
     @staticmethod
@@ -162,6 +183,17 @@ class TestClusterStatsAccuracy:
         # Squared norms overflow at 1e160; the deviations do not.
         rng = np.random.default_rng(14)
         self.check(1e160 + 1e150 * rng.standard_normal((30, 3)), self.random_labels(rng, 30, 3), 3)
+
+    def test_entries_of_1e200(self):
+        # Their squared norms overflow, yet the dataset is accepted; a block
+        # holding such a row alone or with its copies costs exactly 0.
+        rng = np.random.default_rng(17)
+        points, labels = rng.standard_normal((20, 3)), self.random_labels(rng, 20, 3)
+        points[4, 1], points[12, 0] = 1e200, -1e200
+        points[9] = points[4]
+        labels[[4, 9]], labels[12] = 3, 4
+        stats = self.check(points, labels, 5)
+        assert np.all(stats.variances[3:] == 0.0)
 
     def test_singletons_cost_exactly_zero(self):
         rng = np.random.default_rng(13)

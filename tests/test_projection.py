@@ -1,6 +1,8 @@
+import dataclasses
 import os
 import struct
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -160,9 +162,35 @@ class TestProject:
 
 
 class TestDataset:
-    def test_rejects_nonfinite(self):
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_nonfinite(self, bad):
         with pytest.raises(DomainError):
-            Dataset(points=np.array([[1.0, np.nan]]))
+            Dataset(points=np.array([[1.0, 2.0], [3.0, bad]]))
+
+    def test_accepts_entries_whose_squares_overflow(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            data = Dataset(points=np.array([[1e200, 0.0], [0.0, -1e200], [1.0, 2.0]]))
+        assert np.array_equal(data.sq_norms, [np.inf, np.inf, 5.0])
+
+    def test_sq_norms_are_the_row_einsum(self):
+        points = np.random.default_rng(5).standard_normal((50, 783))
+        data = Dataset(points=points)
+        assert data.sq_norms.tobytes() == np.einsum("ij,ij->i", points, points).tobytes()
+        assert not data.sq_norms.flags.writeable
+        with pytest.raises(ValueError):
+            data.sq_norms[0] = 0.0
+
+    def test_points_read_only_caller_array_untouched(self):
+        points = np.random.default_rng(6).standard_normal((4, 3))
+        data = Dataset(points=points)
+        assert np.shares_memory(data.points, points)
+        with pytest.raises(ValueError):
+            data.points[0, 0] = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            data.points = points
+        assert points.flags.writeable
+        points[0, 0] = 0.0
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(ShapeError):
