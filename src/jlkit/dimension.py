@@ -54,6 +54,10 @@ def denominator(delta: float) -> float:
 def explicit_dimension(m: int, epsilon: float, delta: float) -> int:
     """Sufficient n' = ceil(2 (-ln eps + 2 ln m) / D(delta)), independent of n.
 
+    The Chernoff step bounds chi^2_1 terms, yet unit-norm rows hold it: for B
+    a uniform unit vector's squared first coordinate, chi^2_1 = (n B)(chi^2_n / n),
+    independent factors, so n B is below chi^2_1 in convex order, MGF included.
+
     The guarantee is stated for delta < 1/2 (what the CLI checks); delta
     in (0, 1) is accepted so the published sweeps, which touch delta = 0.5,
     can be regenerated.

@@ -95,19 +95,19 @@ def _reexpand(points: np.ndarray, s: int, sq: np.ndarray, near: np.ndarray) -> N
         near[blk] = flagged & still
 
 
-def _upper_blocks(points: np.ndarray) -> Iterator[np.ndarray]:
+def _upper_blocks(points: np.ndarray, norms: np.ndarray) -> Iterator[np.ndarray]:
     """Yield the condensed squared distances of pairs i < j, one row block at a time.
 
     For rows [s, e) only the Gram block X[s:e] @ X[s:].T is computed.  Its
     strict upper triangle (column > row), read in row-major order, is the
     run of the condensed i < j vector that belongs to those rows, so the
-    yielded arrays, concatenated, are that vector.  Each pair is
-    ||x_i||^2 + ||x_j||^2 - 2 x_i.x_j clamped at 0, unless that expansion
-    cancels (see ``_CANCELLATION_RATIO``): such pairs are recomputed about
-    a point near them (``_reexpand``), which makes equal rows exactly 0.
+    yielded arrays, concatenated, are that vector.  Each pair is ||x_i||^2
+    + ||x_j||^2 - 2 x_i.x_j, the squared row norms given as ``norms``,
+    clamped at 0, unless that expansion cancels (see ``_CANCELLATION_RATIO``):
+    such pairs are recomputed about a point near them (``_reexpand``), which
+    makes equal rows exactly 0.
     """
     m = points.shape[0]
-    norms = np.einsum("ij,ij->i", points, points)
     upper = np.arange(min(_BLOCK, m))[:, None] < np.arange(m)
     for s in range(0, m, _BLOCK):
         e = min(s + _BLOCK, m)
@@ -143,7 +143,7 @@ def pairwise_sq_dists(points: np.ndarray) -> np.ndarray:
     m = points.shape[0]
     out = np.empty(m * (m - 1) // 2, dtype=np.float64)
     pos = 0
-    for seg in _upper_blocks(points):
+    for seg in _upper_blocks(points, np.einsum("ij,ij->i", points, points)):
         out[pos : pos + seg.size] = seg
         pos += seg.size
     return out
@@ -167,12 +167,12 @@ def sq_dists_to(points: np.ndarray, centres: np.ndarray) -> np.ndarray:
     return out
 
 
-def _block_quotients(sq_orig: np.ndarray, projected: np.ndarray, adjust: float) -> Iterator[np.ndarray]:
+def _block_quotients(sq_orig: np.ndarray, projected: Dataset, adjust: float) -> Iterator[np.ndarray]:
     # adjust * projected / original squared distance per row block, pairs with a
     # zero original distance dropped.  Each block reads its slice of the condensed
     # sq_orig before its quotients are yielded, so the caller may overwrite it.
     read = 0
-    for sq_proj in _upper_blocks(projected):
+    for sq_proj in _upper_blocks(projected.points, projected.sq_norms):
         sq_o = sq_orig[read : read + sq_proj.size]
         read += sq_proj.size
         nonzero = sq_o > 0.0
@@ -213,7 +213,7 @@ def distortion_report(original: Dataset, projected: Dataset, delta: float) -> Di
     # front, never ahead of the slice still to be read.
     quotients = pairwise_sq_dists(original.points)
     pos = violations = 0
-    for q in _block_quotients(quotients, projected.points, adjust):
+    for q in _block_quotients(quotients, projected, adjust):
         violations += int(np.count_nonzero((q < band[0]) | (q > band[1])))
         quotients[pos : pos + q.size] = q
         pos += q.size
@@ -248,7 +248,7 @@ def estimate_failure_rate(
     extremes = []
     for _, projected in draws:
         lo, hi = math.inf, -math.inf
-        for q in _block_quotients(sq_orig, projected.points, adjust):
+        for q in _block_quotients(sq_orig, projected, adjust):
             if q.size:
                 lo, hi = min(lo, float(q.min())), max(hi, float(q.max()))
         del projected  # freed before the next trial's projection is built

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import functools
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -435,33 +436,35 @@ def brute_force_optimum_sq_dists(sq: np.ndarray, k: int) -> tuple[Partition, flo
     return Partition(assignments=labels, k=k), cost
 
 
-@functools.lru_cache(maxsize=8)
-def _optimum_labels(sq_bytes: bytes, m: int, k: int) -> np.ndarray:
-    # The optimal labels of one squared-distance matrix, memoised on its
-    # exact bytes, so a hit gives what a fresh enumeration would; read-only.
-    # The memo sits above brute_force_optimum_sq_dists, so each call of that
-    # is one enumeration; check_perturbation_robustness enumerates by itself.
-    sq = np.frombuffer(sq_bytes).reshape(m, m)
-    labels = brute_force_optimum_sq_dists(sq, k)[0].assignments
-    labels.flags.writeable = False
-    return labels
+# Per live dataset, weakly keyed: its sq_dist_matrix and, per k, the optimal
+# labels and their stats.  Above brute_force_optimum_sq_dists, so each call of
+# that is one enumeration; check_perturbation_robustness enumerates by itself.
+_optima: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def brute_force_optimum(data: Dataset, k: int) -> tuple[Partition, ClusterStats]:
     """Global optimum over all partitions of the dataset into k clusters.
 
-    The optima of the eight most recent (distance matrix, k) are kept, so
-    the same points measured again (the several measurements of one
-    projection, the original side of repeated transfer checks) are not
-    enumerated again.  An enumeration skips the partitions that a prefix
-    lower bound rules out against a farthest-first partition, ties kept
-    (see ``brute_force_optimum_sq_dists``).  Every call returns a fresh
-    partition and stats.
+    The distance matrix and the optimum of each k are kept as long as the
+    dataset object lives, so that object measured again (the several
+    measurements of one projection, the original side of repeated transfer
+    checks) builds no matrix and is not enumerated again; a hit needs the
+    same object.  Writing into the array passed to ``Dataset`` leaves its
+    entry stale, as it does ``sq_norms``.  An enumeration skips the
+    partitions that a prefix lower bound rules out against a farthest-first
+    partition, ties kept (see ``brute_force_optimum_sq_dists``).  Every call
+    returns a fresh partition and stats.
     """
     _check_oracle_size(data.m, k)
-    labels = _optimum_labels(sq_dist_matrix(data.points).tobytes(), data.m, k)
-    partition = Partition(assignments=labels.copy(), k=k)
-    return partition, cluster_stats(data, partition)
+    if data not in _optima:
+        _optima[data] = sq_dist_matrix(data.points), {}
+    sq, optima = _optima[data]
+    if k not in optima:
+        partition = brute_force_optimum_sq_dists(sq, k)[0]
+        optima[k] = partition.assignments, cluster_stats(data, partition)
+    labels, stats = optima[k]
+    return Partition(assignments=labels.copy(), k=k), ClusterStats(
+        stats.centroids.copy(), stats.sizes.copy(), stats.variances.copy(), stats.cost)
 
 
 # ---------------------------------------------------------------------------

@@ -42,12 +42,13 @@ _MAGIC = b"JLKIT-DATASET-01"  # exactly 16 bytes: magic + version
 _OPERATOR_STREAM = 0x6F70
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """An m x d matrix of points; a point is named by its row index.
 
     Read-only, as are ``sq_norms``, the squared row norms, computed once:
-    writing later into the array passed in leaves them stale.
+    writing later into the array passed in leaves them stale.  Equality and
+    hash are by identity.
     """
 
     points: np.ndarray

@@ -10,7 +10,7 @@ def oracle_calls(monkeypatch):
     Returns a one-element list holding the number of calls made to
     ``kmeans.brute_force_optimum_sq_dists`` so far; the test may reset it.
     """
-    kmeans._optimum_labels.cache_clear()
+    kmeans._optima.clear()
     real = kmeans.brute_force_optimum_sq_dists
     calls = [0]
 

@@ -546,7 +546,7 @@ class TestClusterability:
             "--out", data_path)
         counts = []
         for trials in ("1", "3"):
-            kmeans._optimum_labels.cache_clear()
+            kmeans._optima.clear()
             oracle_calls[0] = 0
             code, _, _ = run(
                 capsys, "clusterability", "--input", data_path, "--k", "3",

@@ -122,6 +122,17 @@ class TestExplicit:
         assert explicit_dimension(m, min(0.999, eps * 1.5), delta) <= base  # non-increasing in eps
         assert explicit_dimension(m, eps, min(0.499, delta * 1.1)) <= base  # non-increasing in delta
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 50, 200, 1000, 5000])
+    def test_unit_row_terms_are_below_chi_square_in_convex_order(self, n):
+        # n B, B ~ Beta(1/2, (n-1)/2) the squared first coordinate of a uniform
+        # unit vector, has generating function 1F1(1/2, n/2, t n): at most
+        # chi^2_1's (1 - 2t)^(-1/2) on both Chernoff sides, t < 0 and 0 < t < 1/2.
+        from mpmath import hyp1f1, mp, mpf
+
+        with mp.workdps(50):
+            for t in map(mpf, ("-20", "-2", "-0.5", "-0.05", "0.001", "0.05", "0.2", "0.35", "0.45", "0.499")):
+                assert hyp1f1(mpf(1) / 2, mpf(n) / 2, t * n) <= (1 - 2 * t) ** mpf("-0.5")
+
     @pytest.mark.parametrize(
         "kwargs",
         [

@@ -1,8 +1,10 @@
 import csv
 import functools
+import gc
 import itertools
 import math
 import tracemalloc
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -756,6 +758,58 @@ class TestOracleMemo:
         for seed in range(5):
             global_optimum_transfer_check(data, project(build_operator(30, 20, seed), data), 3, 0.5)
         assert oracle_calls[0] == 1 + 5
+
+    @staticmethod
+    def _matrix_builds(monkeypatch):
+        # The points of every sq_dist_matrix call the oracle makes.
+        built = []
+
+        def recorded(points):
+            built.append(points)
+            return sq_dist_matrix(points)
+
+        monkeypatch.setattr(kmeans, "sq_dist_matrix", recorded)
+        return built
+
+    def test_one_projection_builds_its_matrix_once(self, oracle_calls, monkeypatch):
+        from jlkit.clusterability import measure_sigma_separatedness, measure_weak_deletion_stability
+
+        data = Dataset(points=np.random.default_rng(21).standard_normal((14, 40)))
+        brute_force_optimum(data, 3)
+        projected = project(build_operator(40, 25, 0), data)
+        built = self._matrix_builds(monkeypatch)
+        measure_sigma_separatedness(projected, 3)
+        brute_force_optimum(projected, 3)
+        measure_weak_deletion_stability(projected, 3)
+        global_optimum_transfer_check(data, projected, 3, 0.3)
+        assert [points is projected.points for points in built] == [True]
+        assert oracle_calls[0] == 1 + 2
+
+    def test_transfer_checks_build_the_original_matrix_once(self, oracle_calls, monkeypatch):
+        data = Dataset(points=np.random.default_rng(13).standard_normal((10, 30)))
+        built = self._matrix_builds(monkeypatch)
+        for seed in range(5):
+            global_optimum_transfer_check(data, project(build_operator(30, 20, seed), data), 3, 0.5)
+        assert sum(points is data.points for points in built) == 1
+        assert len(built) == 1 + 5
+
+    def test_entry_dies_with_its_dataset(self, oracle_calls):
+        data = Dataset(points=np.random.default_rng(5).standard_normal((8, 3)))
+        brute_force_optimum(data, 2)
+        assert list(kmeans._optima) == [data]
+        entry = weakref.ref(data)
+        del data
+        gc.collect()
+        assert entry() is None
+        assert len(kmeans._optima) == 0
+
+    def test_second_dataset_over_the_same_array_matches(self, oracle_calls):
+        points = np.random.default_rng(17).standard_normal((11, 6))
+        first, first_stats = brute_force_optimum(Dataset(points=points), 3)
+        second, second_stats = brute_force_optimum(Dataset(points=points), 3)
+        assert oracle_calls[0] == 2
+        assert np.array_equal(first.assignments, second.assignments)
+        assert first_stats.cost.hex() == second_stats.cost.hex()
 
     def test_subset_table_is_shared_and_read_only(self):
         sizes = kmeans._subset_table(5)
