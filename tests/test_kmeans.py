@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from jlkit import kmeans
+from jlkit.clusterability import measure_sigma_separatedness, measure_weak_deletion_stability
 from jlkit.datagen import MixtureSpec, generate
 from jlkit.errors import DegenerateDataError, DomainError, NumericalError, ShapeError
 from jlkit.geometry import sq_dist_matrix
@@ -727,6 +728,18 @@ class TestOracleLimits:
 
 
 class TestOracleMemo:
+    @staticmethod
+    def _matrix_builds(monkeypatch):
+        # The points of every sq_dist_matrix call made in kmeans.
+        built = []
+
+        def recorded(points):
+            built.append(points)
+            return sq_dist_matrix(points)
+
+        monkeypatch.setattr(kmeans, "sq_dist_matrix", recorded)
+        return built
+
     def test_mutated_result_leaves_next_call_unchanged(self, oracle_calls):
         data = Dataset(points=np.random.default_rng(9).standard_normal((9, 4)))
         part, stats = brute_force_optimum(data, 3)
@@ -752,28 +765,17 @@ class TestOracleMemo:
         assert np.array_equal(part.assignments, expected.assignments)
         assert stats.cost == cluster_stats(Dataset(points=nudged), expected).cost
 
-    def test_transfer_check_enumerates_the_original_once(self, oracle_calls):
+    def test_transfer_check_enumerates_the_original_once(self, oracle_calls, monkeypatch):
         rng = np.random.default_rng(13)
         data = Dataset(points=rng.standard_normal((10, 30)))
+        built = self._matrix_builds(monkeypatch)
         for seed in range(5):
             global_optimum_transfer_check(data, project(build_operator(30, 20, seed), data), 3, 0.5)
         assert oracle_calls[0] == 1 + 5
-
-    @staticmethod
-    def _matrix_builds(monkeypatch):
-        # The points of every sq_dist_matrix call the oracle makes.
-        built = []
-
-        def recorded(points):
-            built.append(points)
-            return sq_dist_matrix(points)
-
-        monkeypatch.setattr(kmeans, "sq_dist_matrix", recorded)
-        return built
+        assert sum(points is data.points for points in built) == 1
+        assert len(built) == 1 + 5
 
     def test_one_projection_builds_its_matrix_once(self, oracle_calls, monkeypatch):
-        from jlkit.clusterability import measure_sigma_separatedness, measure_weak_deletion_stability
-
         data = Dataset(points=np.random.default_rng(21).standard_normal((14, 40)))
         brute_force_optimum(data, 3)
         projected = project(build_operator(40, 25, 0), data)
@@ -784,14 +786,6 @@ class TestOracleMemo:
         global_optimum_transfer_check(data, projected, 3, 0.3)
         assert [points is projected.points for points in built] == [True]
         assert oracle_calls[0] == 1 + 2
-
-    def test_transfer_checks_build_the_original_matrix_once(self, oracle_calls, monkeypatch):
-        data = Dataset(points=np.random.default_rng(13).standard_normal((10, 30)))
-        built = self._matrix_builds(monkeypatch)
-        for seed in range(5):
-            global_optimum_transfer_check(data, project(build_operator(30, 20, seed), data), 3, 0.5)
-        assert sum(points is data.points for points in built) == 1
-        assert len(built) == 1 + 5
 
     def test_entry_dies_with_its_dataset(self, oracle_calls):
         data = Dataset(points=np.random.default_rng(5).standard_normal((8, 3)))
