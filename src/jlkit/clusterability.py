@@ -203,14 +203,15 @@ def check_perturbation_robustness(
     unperturbed optimal partition up to relabeling.
 
     Every perturbed squared distance lies within [s^2, 1/s^2] of its
-    original, and so does every partition's cost.  A partition costing
-    more than 1/s^4 times the optimum therefore costs more than the
-    optimum under every perturbation: only the rest, the rivals, are
-    costed per trial.  They are found once, as the oracle enumerates, with
-    groups whose lower bound exceeds 1/s^4 times the optimum (1 + 1e-9)
-    skipped, and only their masks are built.  When the optimum is its own
-    only rival, True is a proof of robustness and no factors are drawn;
-    otherwise it is evidence, not a proof.
+    original, and so does every partition's cost.  The rivals, the
+    partitions costing at most 1/s^4 times the optimum (1 + 1e-9), are found
+    once, as the oracle enumerates, and counted; a non-rival costs more than
+    the optimum under every perturbation, so it can never win a trial.  Each
+    trial takes the first perturbed minimum over the groups whose lower
+    bound stays within 1/s^2 times the optimum, a bound the perturbed
+    optimum never exceeds.  When the optimum is its own only rival, True is
+    a proof of robustness and no factors are drawn; otherwise it is
+    evidence, not a proof.
     """
     if not 0.0 < s < 1.0:
         raise DomainError(f"s must lie in (0, 1), got {s}")
@@ -220,15 +221,14 @@ def check_perturbation_robustness(
         raise DomainError("perturbation check limited to m <= 12")
     sq = sq_dist_matrix(data.points)
     _, best = kmeans.brute_force_optimum_sq_dists(sq, k)
-    block_cost = kmeans._block_costs(sq)
+    tables = kmeans._factors(data.m, k)
     # Every cost term is non-negative, so rounding stays near m^2 eps of the
     # exact costs, far inside the 1e-9 slack.
     bound = (1.0 + 1e-9) * best
-    rivals = kmeans._partitions_within(sq, block_cost, k, bound, s**4)
-    if rivals.shape[1] <= 1:
+    chunks = list(kmeans._group_costs(tables, sq, kmeans._block_costs(sq), bound / s**4))
+    if sum(int(np.count_nonzero(s**4 * costs <= bound)) for _, costs in chunks) <= 1:
         return True
-    # In enumeration order: the first perturbed minimum among them is the first overall.
-    reference = kmeans._first_minimum(kmeans._chunk_costs(block_cost, rivals))[0]
+    reference = kmeans._first_minimum(chunks)[0]
     rng = np.random.default_rng(seed)
     m = data.m
     iu = np.triu_indices(m, 1)
@@ -237,7 +237,8 @@ def check_perturbation_robustness(
         draw = rng.uniform(s, 1.0 / s, size=iu[0].size)
         factors[iu] = draw
         factors[(iu[1], iu[0])] = draw
-        perturbed = kmeans._block_costs(sq * factors**2)  # factors act on distances, costs use squares
-        if kmeans._first_minimum(kmeans._chunk_costs(perturbed, rivals))[0] != reference:
+        perturbed = sq * factors**2  # factors act on distances, costs use squares
+        chunks = kmeans._group_costs(tables, perturbed, kmeans._block_costs(perturbed), bound / s**2)
+        if kmeans._first_minimum(chunks)[0] != reference:
             return False
     return True

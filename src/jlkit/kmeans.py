@@ -358,16 +358,6 @@ def _group_costs(factors, sq: np.ndarray, block_cost: np.ndarray, bound: float):
             yield starts[q], costs
 
 
-def _chunk_costs(block_cost: np.ndarray, masks: np.ndarray):
-    # (offsets, costs) as _group_costs gives them, per chunk of the uint16 masks.
-    for start in range(0, masks.shape[1], _COST_CHUNK):
-        chunk = masks[:, start:start + _COST_CHUNK].astype(np.intp)
-        costs = block_cost[chunk[0]]
-        for row in chunk[1:]:
-            costs += block_cost[row]
-        yield (start,), costs[None]
-
-
 def _first_minimum(chunks) -> tuple[int, float]:
     # Index and cost of the first cheapest partition, whatever the chunks' order.
     found = sorted((int(offsets[i]) + c, costs[i, c]) for offsets, costs in chunks
@@ -396,20 +386,6 @@ def _greedy_cost(sq: np.ndarray, block_cost: np.ndarray, k: int) -> float:
     if not blocks.all():
         return math.inf
     return float(sum(block_cost[blocks[np.argsort(blocks & -blocks)]]))
-
-
-def _partitions_within(sq: np.ndarray, block_cost: np.ndarray, k: int, bound: float, scale: float):
-    # The k x n uint16 block bitmasks, in RGS order, of every partition whose
-    # cost times scale is at most bound, built chunk by chunk.
-    factors = _factors(sq.shape[0], k)
-    chunks = _group_costs(factors, sq, block_cost, bound / scale)
-    index = np.concatenate([(offsets[:, None] + np.arange(costs.shape[1]))[scale * costs <= bound]
-                            for offsets, costs in chunks])
-    index.sort()
-    masks = np.empty((k, index.size), dtype=np.uint16)
-    for start in range(0, index.size, _COST_CHUNK):
-        masks[:, start:start + _COST_CHUNK] = _partitions_at(factors, index[start:start + _COST_CHUNK])
-    return masks
 
 
 def brute_force_optimum_sq_dists(sq: np.ndarray, k: int) -> tuple[Partition, float]:

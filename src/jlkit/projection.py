@@ -90,11 +90,6 @@ class ProjectionOperator:
         """sqrt(n/n'), the factor applied to distances (not coordinates)."""
         return float(np.sqrt(self.n / self.n_prime))
 
-    @property
-    def sq_scale(self) -> float:
-        """n/n', the factor applied to squared distances."""
-        return self.n / self.n_prime
-
 
 def build_operator(n: int, n_prime: int, seed: int, orthonormalize: bool = False) -> ProjectionOperator:
     """Draw a seeded n' x n operator with unit-norm rows, or orthonormal ones.

@@ -320,6 +320,13 @@ class TestPerturbationRobustness:
             m, k = int(rng.integers(4, 11)), int(rng.integers(2, 5))
             centres = rng.uniform(0.0, 6.0, size=(k, 2))
             instances.append((Dataset(points=centres[np.arange(m) % k] + rng.standard_normal((m, 2))), k))
+        # Two (12, 3) instances, where the group bound prunes in every trial:
+        # three tight clusters, and four evenly spaced ones whose three merges
+        # nearly tie.
+        centres = rng.uniform(0.0, 20.0, size=(3, 2))
+        instances.append((Dataset(points=centres[np.arange(12) % 3] + 0.3 * rng.standard_normal((12, 2))), 3))
+        row = np.repeat([[0.0, 0.0], [10.0, 0.0], [20.0, 0.0], [30.0, 0.0]], 3, axis=0)
+        instances.append((Dataset(points=row + 0.3 * rng.standard_normal((12, 2))), 3))
         assert brute_force_optimum_sq_dists(sq_dist_matrix(instances[1][0].points), 3)[1] == 0.0
         verdicts = {}
         for s in (0.999, 0.95, 0.7, 0.5, 0.1):
@@ -327,6 +334,7 @@ class TestPerturbationRobustness:
                 verdicts[s, i] = enumerate_every_trial(data, k, s, trials=30, seed=i)
                 assert check_perturbation_robustness(data, k, s, trials=30, seed=i) == verdicts[s, i]
         assert verdicts[0.5, 0] is False and verdicts[0.1, 1] is True
+        assert verdicts[0.1, 14] is True and verdicts[0.7, 15] is False
         assert sum(verdicts.values()) not in (0, len(verdicts))
 
     def test_one_enumeration_per_call(self, oracle_calls):
@@ -340,8 +348,8 @@ class TestPerturbationRobustness:
 
     def test_every_partition_a_rival_copies_no_mask_table(self):
         # At (12, 6) and s = 0.1 every one of the 1,323,652 partitions is a
-        # rival: their masks take 15.1 MiB, built once.  Measured cold, the
-        # factor tables built while tracing.
+        # rival: their costs take 10.1 MiB at set-up, and no mask table is
+        # built.  Measured cold, the factor tables built while tracing.
         data = Dataset(points=np.random.default_rng(0).standard_normal((12, 3)))
         kmeans._factors.cache_clear()
         tracemalloc.start()
@@ -350,7 +358,7 @@ class TestPerturbationRobustness:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 40 * 2**20
+        assert peak < 16 * 2**20
 
     def test_size_limit(self):
         with pytest.raises(DomainError):

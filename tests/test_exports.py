@@ -66,3 +66,36 @@ def test_operators_are_built_in_one_place():
     assert {c for c in callers if c[0] != "projection"} == {
         ("cli", "_cmd_project"), ("reproduce", "_figure_distortion"),
     }
+
+
+def _private_reads(path):
+    # (owner, name) of every underscore name the file takes from another module
+    # of the package: imported from it, or read as an attribute of it.
+    tree = ast.parse(path.read_text())
+    modules, reads = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                if node.module is None:
+                    modules[alias.asname or alias.name] = alias.name
+                elif alias.name.startswith("_"):
+                    reads.add((node.module, alias.name))
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and node.attr.startswith("_")):
+            reads.add((modules[node.value.id], node.attr))
+    return reads
+
+
+def test_private_names_read_across_modules():
+    # Each entry ties a module to another's internals, which a refactor of the
+    # owner has to keep; a new one shows up here and has to be argued for.
+    reads = {(path.stem, owner, name) for path in SRC.glob("*.py") for owner, name in _private_reads(path)}
+    assert reads == {
+        ("kmeans", "geometry", "_CANCELLATION_RATIO"),
+        ("reproduce", "dimension", "_domain_edge"),
+        ("clusterability", "kmeans", "_factors"),
+        ("clusterability", "kmeans", "_block_costs"),
+        ("clusterability", "kmeans", "_group_costs"),
+        ("clusterability", "kmeans", "_first_minimum"),
+    }

@@ -67,7 +67,7 @@ class TestBuildOperator:
     def test_scale(self):
         op = build_operator(200, 50, seed=0)
         assert op.scale == pytest.approx(2.0)
-        assert op.sq_scale == pytest.approx(4.0)
+        assert op.n / op.n_prime == pytest.approx(4.0)
 
     def test_shape_errors(self):
         with pytest.raises(ShapeError):
@@ -155,7 +155,7 @@ class TestProject:
         for seed in range(300):
             op = build_operator(200, 50, seed=seed)
             du = (u - v) @ op.rows.T
-            quotients.append(op.sq_scale * float(du @ du) / sq)
+            quotients.append(op.n / op.n_prime * float(du @ du) / sq)
         mean = np.mean(quotients)
         se = np.std(quotients, ddof=1) / np.sqrt(len(quotients))
         assert abs(mean - 1.0) <= 3.0 * se
