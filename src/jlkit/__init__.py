@@ -3,11 +3,11 @@
 Pick the target dimension once (``dimension``), project (``projection``),
 verify the distortion band (``geometry``), and check what survives the
 projection: k-means costs and fixed points (``kmeans``) and clusterability
-parameters (``clusterability``).  ``datagen`` builds controlled synthetic
-instances; ``reproduce`` regenerates the published reference tables.
+parameters (``clusterability``), exact optima from ``oracle``.  ``datagen``
+builds synthetic instances; ``reproduce`` regenerates the published tables.
 """
 
-from . import clusterability, datagen, dimension, geometry, kmeans, projection, reproduce
+from . import clusterability, datagen, dimension, geometry, kmeans, oracle, projection, reproduce
 from .errors import (
     DegenerateDataError,
     DomainError,
@@ -25,6 +25,7 @@ __all__ = [
     "dimension",
     "geometry",
     "kmeans",
+    "oracle",
     "projection",
     "reproduce",
     "JlkitError",

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kmeans
+from . import kmeans, oracle
 from .errors import DegenerateDataError, DomainError
 from .geometry import sq_dist_matrix, sq_dists_to
 from .kmeans import Partition, brute_force_optimum, cluster_stats
@@ -46,7 +46,7 @@ __all__ = [
 
 @dataclass
 class ClusterabilityParams:
-    """Any subset of the five parameters; None marks 'not specified'.
+    """Any subset of the four transported parameters; None marks 'not specified'.
 
     One record serves an instance's parameters, their predicted values
     after projection and the values measured there; ``transport`` checks
@@ -57,7 +57,6 @@ class ClusterabilityParams:
     approx_stability: tuple[float, float] | None = None  # (c > 1, sigma)
     centre_stability_beta: float | None = None        # > 1
     weak_deletion_beta: float | None = None           # beta > 0, ratio is 1 + beta
-    mult_perturb_s: float | None = None               # in (0, 1)
 
 
 @dataclass(frozen=True)
@@ -73,10 +72,7 @@ def transport(before: ClusterabilityParams, delta: float) -> ClusterabilityParam
 
     ``before`` must lie in the parameters' domains (a ``DomainError``
     otherwise); the prediction may leave them (c' <= 1, beta' <= 1,
-    (1+beta)' <= 1), the property then becoming vacuous.  Perturbation
-    robustness has no forward map (the theorem states a precondition on
-    the original space, see ``required_mult_perturb_s``), so
-    ``mult_perturb_s`` is left unset in the prediction.
+    (1+beta)' <= 1), the property then becoming vacuous.
     """
     if not 0.0 <= delta < 0.5:
         raise DomainError(f"delta must lie in [0, 1/2), got {delta}")
@@ -89,8 +85,6 @@ def transport(before: ClusterabilityParams, delta: float) -> ClusterabilityParam
         raise DomainError("centre-stability beta must exceed 1")
     if b.weak_deletion_beta is not None and b.weak_deletion_beta <= 0.0:
         raise DomainError("weak-deletion beta must be positive")
-    if b.mult_perturb_s is not None and not 0.0 < b.mult_perturb_s < 1.0:
-        raise DomainError("perturbation-robustness s must lie in (0, 1)")
     shrink = (1.0 - delta) / (1.0 + delta)
     out = ClusterabilityParams()
     if b.sigma_separatedness is not None:
@@ -204,14 +198,13 @@ def check_perturbation_robustness(
 
     Every perturbed squared distance lies within [s^2, 1/s^2] of its
     original, and so does every partition's cost.  The rivals, the
-    partitions costing at most 1/s^4 times the optimum (1 + 1e-9), are found
-    once, as the oracle enumerates, and counted; a non-rival costs more than
-    the optimum under every perturbation, so it can never win a trial.  Each
-    trial takes the first perturbed minimum over the groups whose lower
-    bound stays within 1/s^2 times the optimum, a bound the perturbed
-    optimum never exceeds.  When the optimum is its own only rival, True is
-    a proof of robustness and no factors are drawn; otherwise it is
-    evidence, not a proof.
+    partitions costing at most 1/s^4 times the optimum (1 + 1e-9), are
+    counted once by ``oracle.count_within``; a non-rival costs more than
+    the optimum under every perturbation, so it can never win a trial.
+    When the optimum is its own only rival, True is a proof of robustness
+    and no factors are drawn; otherwise it is evidence, not a proof.  Each
+    trial takes ``oracle.optimum`` of the perturbed metric against a bound
+    of 1/s^2 times the optimum, which the perturbed optimum never exceeds.
     """
     if not 0.0 < s < 1.0:
         raise DomainError(f"s must lie in (0, 1), got {s}")
@@ -220,25 +213,20 @@ def check_perturbation_robustness(
     if data.m > 12:
         raise DomainError("perturbation check limited to m <= 12")
     sq = sq_dist_matrix(data.points)
-    _, best = kmeans.brute_force_optimum_sq_dists(sq, k)
-    tables = kmeans._factors(data.m, k)
+    reference, best = kmeans.brute_force_optimum_sq_dists(sq, k)
     # Every cost term is non-negative, so rounding stays near m^2 eps of the
-    # exact costs, far inside the 1e-9 slack.
+    # exact costs, far inside the 1e-9 slack.  s is divided out one factor at
+    # a time: s**4 underflows to 0 from about s = 1e-81 down.
     bound = (1.0 + 1e-9) * best
-    chunks = list(kmeans._group_costs(tables, sq, kmeans._block_costs(sq), bound / s**4))
-    if sum(int(np.count_nonzero(s**4 * costs <= bound)) for _, costs in chunks) <= 1:
+    if oracle.count_within(sq, k, bound / s / s / s / s) <= 1:
         return True
-    reference = kmeans._first_minimum(chunks)[0]
     rng = np.random.default_rng(seed)
     m = data.m
     iu = np.triu_indices(m, 1)
     for _ in range(trials):
         factors = np.ones((m, m))
-        draw = rng.uniform(s, 1.0 / s, size=iu[0].size)
-        factors[iu] = draw
-        factors[(iu[1], iu[0])] = draw
-        perturbed = sq * factors**2  # factors act on distances, costs use squares
-        chunks = kmeans._group_costs(tables, perturbed, kmeans._block_costs(perturbed), bound / s**2)
-        if kmeans._first_minimum(chunks)[0] != reference:
+        factors[iu] = rng.uniform(s, 1.0 / s, size=iu[0].size)
+        perturbed = sq * (factors * factors.T) ** 2  # factors act on distances, costs use squares
+        if not np.array_equal(oracle.optimum(perturbed, k, bound / s / s)[0], reference.assignments):
             return False
     return True

@@ -32,6 +32,7 @@ __all__ = [
     "denominator",
     "explicit_dimension",
     "pair_failure_bound",
+    "domain_edge",
     "implicit_dimension",
     "dg_n_prime",
     "dg_repetitions",
@@ -101,8 +102,8 @@ def pair_failure_bound(n_prime: int, n: int, delta: float) -> float:
     return math.exp(_log_pair_failure_bound(float(n_prime), float(n), delta))
 
 
-def _domain_edge(n: int, delta: float) -> int:
-    # Largest n' with n' * (1 + delta) < n whose float n' * delta / (n - n') is also below 1.
+def domain_edge(n: int, delta: float) -> int:
+    """Largest n' with n' (1 + delta) < n whose float n' delta / (n - n') is also below 1."""
     edge = int(n / (1.0 + delta))
     while edge * (1.0 + delta) >= n or edge * delta / (n - edge) >= 1.0:
         edge -= 1
@@ -133,7 +134,7 @@ def implicit_dimension(m: int, epsilon: float, delta: float, n: int) -> int:
     def satisfied(n_prime: int) -> bool:
         return _log_pair_failure_bound(float(n_prime), float(n), delta) <= threshold
 
-    edge = _domain_edge(n, delta)
+    edge = domain_edge(n, delta)
     if edge < 2:
         raise DomainError(f"no valid target dimension below n={n} at delta={delta}")
     hi = min(explicit + 1, edge)

@@ -62,7 +62,7 @@ _BLOCK = 256
 # the sum of squared norms divided by this ratio, and is then recomputed:
 # on random data the expansion is within 1e-12 relative of direct
 # difference at a ratio of 1e2, not 1e3.
-_CANCELLATION_RATIO = 100.0
+CANCELLATION_RATIO = 100.0
 
 _MAX_BINS = 1000  # the most bins export_histogram writes, whatever delta is
 
@@ -88,7 +88,7 @@ def _reexpand(points: np.ndarray, s: int, sq: np.ndarray, near: np.ndarray) -> N
         sub *= -2.0
         sub += nsum
         np.maximum(sub, 0.0, out=sub)
-        still = sub * _CANCELLATION_RATIO < nsum
+        still = sub * CANCELLATION_RATIO < nsum
         blk = np.ix_(rows, cols)
         flagged = near[blk]
         sq[blk] = np.where(flagged & ~still, sub, sq[blk])
@@ -103,7 +103,7 @@ def _upper_blocks(points: np.ndarray, norms: np.ndarray) -> Iterator[np.ndarray]
     run of the condensed i < j vector that belongs to those rows, so the
     yielded arrays, concatenated, are that vector.  Each pair is ||x_i||^2
     + ||x_j||^2 - 2 x_i.x_j, the squared row norms given as ``norms``,
-    clamped at 0, unless that expansion cancels (see ``_CANCELLATION_RATIO``):
+    clamped at 0, unless that expansion cancels (see ``CANCELLATION_RATIO``):
     such pairs are recomputed about a point near them (``_reexpand``), which
     makes equal rows exactly 0.
     """
@@ -117,7 +117,7 @@ def _upper_blocks(points: np.ndarray, norms: np.ndarray) -> Iterator[np.ndarray]
         sq *= -2.0
         sq += nsum
         np.maximum(sq, 0.0, out=sq)
-        near = sq * _CANCELLATION_RATIO < nsum
+        near = sq * CANCELLATION_RATIO < nsum
         del nsum
         near &= upper_blk
         if near.any():

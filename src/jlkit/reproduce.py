@@ -15,9 +15,9 @@ import math
 import numpy as np
 
 from .dimension import (
-    _domain_edge,
     dg_n_prime,
     dg_repetitions,
+    domain_edge,
     explicit_dimension,
     gap_delta_bound,
     implicit_dimension,
@@ -68,7 +68,7 @@ def _sweep_table(ident: str):
         explicit = explicit_dimension(m, eps, delta)
         # Where the explicit cap lies outside the tail bound's domain
         # n' (1 + delta) < n, the paper prints the cap, not the solver's n'.
-        capped = explicit + 1 > _domain_edge(n, delta)
+        capped = explicit + 1 > domain_edge(n, delta)
         implicit = explicit + 1 if capped else implicit_dimension(m, eps, delta, n)
         row = [x, explicit, implicit]
         if extra == _RATIO:

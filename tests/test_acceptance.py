@@ -400,17 +400,19 @@ def test_criterion_8_clusterability_transport():
     opt_part, _ = brute_force_optimum(data, 2)
     beta = clus.measure_centre_stability(data, opt_part)
     deletion = clus.measure_weak_deletion_stability(data, 2)
-    shrink = (1.0 - delta) / (1.0 + delta)
     assert 0.0 < sigma < 1.0 and beta > 1.0 and deletion > 1.0
+    # The bounds come from transport, as the clusterability command reads them.
+    predicted = clus.transport(clus.ClusterabilityParams(
+        sigma_separatedness=sigma, centre_stability_beta=beta, weak_deletion_beta=deletion - 1.0), delta)
     # Perturbation-robustness precondition in the original space.
     s_p_sq, nu_sq = 0.9, 0.95
     s_sq = clus.required_mult_perturb_s(s_p_sq, nu_sq, delta)
     assert clus.check_perturbation_robustness(data, 2, math.sqrt(s_sq), trials=50, seed=1)
     records = clus.transport_trials(data, 2, n_prime, seeds, base_seed=3000)
     counts = {
-        "sigma": sum(r.sigma <= sigma / math.sqrt(shrink) for r in records),
-        "beta": sum(r.beta >= beta * math.sqrt(shrink) for r in records),
-        "deletion": sum(r.deletion_ratio >= deletion * shrink for r in records),
+        "sigma": sum(r.sigma <= predicted.sigma_separatedness for r in records),
+        "beta": sum(r.beta >= predicted.centre_stability_beta for r in records),
+        "deletion": sum(r.deletion_ratio - 1.0 >= predicted.weak_deletion_beta for r in records),
         "perturbation": 0,
     }
     for t, (_, projected) in enumerate(projections(data, n_prime, seeds, 3000)):

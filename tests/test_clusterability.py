@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from jlkit import clusterability, kmeans
+from jlkit import clusterability, kmeans, oracle
 from jlkit.clusterability import (
     ClusterabilityParams,
     TransportTrial,
@@ -78,10 +78,6 @@ class TestTransport:
         assert betas == sorted(betas, reverse=True)
         assert wds == sorted(wds, reverse=True)
 
-    def test_perturbation_not_forward_mapped(self):
-        after = transport(ClusterabilityParams(mult_perturb_s=0.5), 0.1)
-        assert after.mult_perturb_s is None
-
     def test_required_s_formula(self):
         assert required_mult_perturb_s(0.9, 0.95, 0.3) == pytest.approx(
             0.9 * 0.95 * 0.49 / 1.3, rel=1e-15
@@ -97,7 +93,6 @@ class TestTransport:
             (dict(approx_stability=(1.0, 0.2)), "approximation-stability factor c must exceed 1"),
             (dict(centre_stability_beta=0.9), "centre-stability beta must exceed 1"),
             (dict(weak_deletion_beta=0.0), "weak-deletion beta must be positive"),
-            (dict(mult_perturb_s=1.0), "perturbation-robustness s must lie in (0, 1)"),
         ]:
             before = ClusterabilityParams(**params)
             with pytest.raises(DomainError) as err:
@@ -351,7 +346,7 @@ class TestPerturbationRobustness:
         # rival: their costs take 10.1 MiB at set-up, and no mask table is
         # built.  Measured cold, the factor tables built while tracing.
         data = Dataset(points=np.random.default_rng(0).standard_normal((12, 3)))
-        kmeans._factors.cache_clear()
+        oracle._factors.cache_clear()
         tracemalloc.start()
         try:
             check_perturbation_robustness(data, 6, 0.1, trials=2, seed=0)
@@ -359,6 +354,13 @@ class TestPerturbationRobustness:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+
+    def test_s_whose_powers_underflow(self):
+        # s**4 underflows to 0.0 at both s: s is divided out of the bounds one
+        # factor at a time, so each gives a verdict, not a ZeroDivisionError.
+        data = Dataset(points=np.random.default_rng(0).standard_normal((6, 2)))
+        for s in (1e-90, 1e-150):
+            assert check_perturbation_robustness(data, 2, s, trials=30, seed=0) is False
 
     def test_size_limit(self):
         with pytest.raises(DomainError):

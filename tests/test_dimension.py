@@ -6,11 +6,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from jlkit.cli import main
 from jlkit.dimension import (
-    _domain_edge,
     _log_pair_failure_bound,
     denominator,
     dg_n_prime,
     dg_repetitions,
+    domain_edge,
     explicit_dimension,
     gap_delta_bound,
     implicit_dimension,
@@ -279,7 +279,7 @@ class TestImplicit:
             # A refusal is allowed only where the explicit cap lies outside
             # the bound's domain, and only if the bracket end really fails.
             assert (explicit + 1) * (1.0 + delta) >= n
-            assert not satisfied(min(explicit + 1, _domain_edge(n, delta)))
+            assert not satisfied(min(explicit + 1, domain_edge(n, delta)))
             return
         assert got * (1.0 + delta) < n
         assert satisfied(got)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jlkit import kmeans
+from jlkit import kmeans, oracle
 from jlkit.clusterability import measure_sigma_separatedness, measure_weak_deletion_stability
 from jlkit.datagen import MixtureSpec, generate
 from jlkit.errors import DegenerateDataError, DomainError, NumericalError, ShapeError
@@ -478,8 +478,8 @@ def reference_masks(m, k):
 def expand(m, k):
     # Every partition the oracle's factor tables describe, group by group:
     # prefix q with each completion of its class, as k x S(m, k) bitmasks.
-    prefix, base, length, comps, starts, _ = kmeans._factors(m, k)
-    groups = [prefix[:, [q]] | comps[:, base[q]:base[q] + length[q]] << kmeans._PREFIX
+    prefix, base, length, comps, starts, _ = oracle._factors(m, k)
+    groups = [prefix[:, [q]] | comps[:, base[q]:base[q] + length[q]] << oracle._PREFIX
               for q in range(prefix.shape[1])]
     assert np.array_equal(np.diff(starts), [g.shape[1] for g in groups])
     return np.concatenate(groups, axis=1)
@@ -493,35 +493,35 @@ class TestPartitionMasks:
             masks = expand(m, k)
             assert masks.shape == (k, stirling2(m, k))
             assert np.array_equal(masks.T, reference_masks(m, k))
-            found = kmeans._partitions_at(kmeans._factors(m, k), np.arange(masks.shape[1]))
+            found = oracle._partitions_at(oracle._factors(m, k), np.arange(masks.shape[1]))
             assert found.dtype == np.uint16 and np.array_equal(found, masks)
 
     def test_cache_holds_at_most_four_tables(self):
-        kmeans._factors.cache_clear()
+        oracle._factors.cache_clear()
         pairs = [(5, 2), (6, 3), (7, 2), (7, 4), (9, 3)]
         for m, k in pairs:
-            kmeans._factors(m, k)
-        assert kmeans._factors.cache_info().currsize <= 4
+            oracle._factors(m, k)
+        assert oracle._factors.cache_info().currsize <= 4
         for m, k in pairs:
             assert np.array_equal(expand(m, k).T, reference_masks(m, k))
 
 
 class TestPartitionTableMemory:
     def test_uint16_and_read_only(self):
-        factors = kmeans._factors(14, 3)
+        factors = oracle._factors(14, 3)
         for table in factors:
             with pytest.raises(ValueError):
                 table[(0,) * table.ndim] = 0
-        assert kmeans._partitions_at(factors, np.arange(3)).dtype == np.uint16
+        assert oracle._partitions_at(factors, np.arange(3)).dtype == np.uint16
 
     @pytest.mark.parametrize("m, k, bound_mib", [(14, 3, 1), (12, 6, 2)])
     def test_cold_build_peak(self, m, k, bound_mib):
         # The factor tables peak at 0.3 and 1.2 MiB; the full partition
         # tables they replace took 4.5 and 15.1 MiB.
-        kmeans._factors.cache_clear()
+        oracle._factors.cache_clear()
         tracemalloc.start()
         try:
-            kmeans._factors(m, k)
+            oracle._factors(m, k)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -533,8 +533,8 @@ class TestPartitionTableMemory:
         data, _ = generate(MixtureSpec(k=3, sizes=(5, 5, 4), dim=500, centre_distance=10.0,
                                        cluster_sigma=0.05, target_gap=1.0, seed=33))
         sq = sq_dist_matrix(data.points)
-        kmeans._factors.cache_clear()
-        kmeans._subset_table.cache_clear()
+        oracle._factors.cache_clear()
+        oracle._subset_table.cache_clear()
         tracemalloc.start()
         try:
             brute_force_optimum_sq_dists(sq, 3)
@@ -588,10 +588,10 @@ def test_chunked_minimum_is_the_first_overall(points, k):
     # S(12, 3) = 86,526 and S(12, 4) = 611,501 partitions span more than one cost chunk.
     sq = sq_dist_matrix(points)
     masks = expand(12, k)
-    assert masks.shape[1] > kmeans._COST_CHUNK
+    assert masks.shape[1] > oracle._COST_CHUNK
     # At an infinite bound every group is costed, in more than one chunk.
-    assert len(list(kmeans._group_costs(kmeans._factors(12, k), sq, kmeans._block_costs(sq), math.inf))) > 1
-    costs = kmeans._block_costs(sq)[masks].sum(axis=0)
+    assert len(list(oracle._group_costs(oracle._factors(12, k), sq, oracle._block_costs(sq), math.inf))) > 1
+    costs = oracle._block_costs(sq)[masks].sum(axis=0)
     best = int(np.argmin(costs))
     expected = np.argmax((masks[:, best, None] >> np.arange(12)) & 1, axis=0)
     part, found = brute_force_optimum_sq_dists(sq, k)
@@ -602,9 +602,9 @@ def test_chunked_minimum_is_the_first_overall(points, k):
 def full_scan(sq, k):
     # The oracle without pruning: the first cheapest partition of every
     # group, none of which has a lower bound above inf.
-    factors = kmeans._factors(sq.shape[0], k)
-    first, cost = kmeans._first_minimum(kmeans._group_costs(factors, sq, kmeans._block_costs(sq), math.inf))
-    masks = kmeans._partitions_at(factors, np.array([first]))
+    factors = oracle._factors(sq.shape[0], k)
+    first, cost = oracle._first_minimum(oracle._group_costs(factors, sq, oracle._block_costs(sq), math.inf))
+    masks = oracle._partitions_at(factors, np.array([first]))
     return np.argmax((masks >> np.arange(sq.shape[0])) & 1, axis=0), cost
 
 
@@ -633,7 +633,7 @@ def pruning_matrices(m, k, seed):
 
 def costed_columns(monkeypatch):
     # The number of partitions each oracle call costs, in call order.
-    real, seen = kmeans._group_costs, []
+    real, seen = oracle._group_costs, []
 
     def counted(*args):
         seen.append(0)
@@ -641,7 +641,7 @@ def costed_columns(monkeypatch):
             seen[-1] += costs.size
             yield offsets, costs
 
-    monkeypatch.setattr(kmeans, "_group_costs", counted)
+    monkeypatch.setattr(oracle, "_group_costs", counted)
     return seen
 
 
@@ -649,7 +649,7 @@ class TestPruning:
     @pytest.mark.parametrize("m", range(9, 15))
     def test_pruned_equals_full_scan(self, m):
         for k in range(1, m + 1):
-            if stirling2(m, k) > kmeans.PARTITION_CAP:
+            if stirling2(m, k) > oracle.PARTITION_CAP:
                 continue
             for name, sq in pruning_matrices(m, k, 100 * m + k).items():
                 part, cost = brute_force_optimum_sq_dists(sq, k)
@@ -686,12 +686,13 @@ class TestPruning:
         sq[:7, :7] = sq_dist_matrix(np.random.default_rng(66).standard_normal((7, 3)))
         sq[7, :] = sq[:, 7] = 100.0
         sq[7, 7] = 0.0
-        block_cost = kmeans._block_costs(sq)
+        block_cost = oracle._block_costs(sq)
         optimum = block_cost[0b101111111] + block_cost[0b010000000]
         assert block_cost[0b001111111] * 7 / 8 + block_cost[0b010000000] / 2 > optimum
         part, cost = brute_force_optimum_sq_dists(sq, 2)
         assert np.array_equal(part.assignments, [0, 0, 0, 0, 0, 0, 0, 1, 0])
         assert cost == optimum
+        assert oracle.count_within(sq, 2, optimum) == 1
 
 
 class TestOracleLimits:
@@ -709,7 +710,7 @@ class TestOracleLimits:
 
     @pytest.mark.parametrize("m, k", [(14, 4), (14, 6), (14, 9), (13, 5)])
     def test_partition_cap_raises_before_allocation(self, m, k):
-        assert stirling2(m, k) > kmeans.PARTITION_CAP
+        assert stirling2(m, k) > oracle.PARTITION_CAP
         sq = np.zeros((m, m))
         tracemalloc.start()
         try:
@@ -723,8 +724,8 @@ class TestOracleLimits:
     def test_cap_admits_every_m_up_to_12_and_14_3(self):
         admitted = [(m, k) for m in range(1, 13) for k in range(1, m + 1)] + [(14, 3)]
         for m, k in admitted:
-            kmeans._check_oracle_size(m, k)
-            assert stirling2(m, k) <= kmeans.PARTITION_CAP
+            oracle.check_size(m, k)
+            assert stirling2(m, k) <= oracle.PARTITION_CAP
 
 
 class TestOracleMemo:
@@ -806,8 +807,8 @@ class TestOracleMemo:
         assert first_stats.cost.hex() == second_stats.cost.hex()
 
     def test_subset_table_is_shared_and_read_only(self):
-        sizes = kmeans._subset_table(5)
-        assert kmeans._subset_table(5) is sizes
+        sizes = oracle._subset_table(5)
+        assert oracle._subset_table(5) is sizes
         assert not sizes.flags.writeable
         assert sizes.tolist() == [max(bin(s).count("1"), 1) for s in range(32)]
 
@@ -827,7 +828,7 @@ class TestOracleMemo:
                 0.5 * math.fsum(sq[i, j] for i in members for j in members) / max(len(members), 1)
                 for members in ([i for i in range(m) if s >> i & 1] for s in range(1 << m))
             ])
-            found = kmeans._block_costs(sq)
+            found = oracle._block_costs(sq)
             if kind == "integer":
                 assert found.tobytes() == expected.tobytes()
             else:
