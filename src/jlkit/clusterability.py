@@ -225,8 +225,9 @@ def check_perturbation_robustness(
     iu = np.triu_indices(m, 1)
     for _ in range(trials):
         factors = np.ones((m, m))
-        factors[iu] = rng.uniform(s, 1.0 / s, size=iu[0].size)
-        perturbed = sq * (factors * factors.T) ** 2  # factors act on distances, costs use squares
+        factors[iu] = rng.uniform(s, min(1.0 / s, np.finfo(float).max), size=iu[0].size)  # 1/s may be inf
+        with np.errstate(over="ignore"):  # an inf perturbed distance is valid oracle input
+            perturbed = sq * (factors * factors.T) ** 2  # factors act on distances, costs use squares
         if not np.array_equal(oracle.optimum(perturbed, k, bound / s / s)[0], reference.assignments):
             return False
     return True

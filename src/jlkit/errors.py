@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the check of an array's size against memory."""
+
+import os
+
+_PHYSICAL_BYTES = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
 class JlkitError(Exception):
@@ -23,3 +27,9 @@ class DegenerateDataError(JlkitError, ValueError):
 
 class NumericalError(JlkitError, ArithmeticError):
     """A computation broke an invariant it must keep, such as a falling cost."""
+
+
+def check_bytes(nbytes: int, what: str) -> None:
+    """Raise ``DomainError`` before allocating ``what`` when its ``nbytes`` exceed physical memory."""
+    if nbytes > _PHYSICAL_BYTES:
+        raise DomainError(f"{what} needs {nbytes} bytes, more than the {_PHYSICAL_BYTES} bytes of physical memory")

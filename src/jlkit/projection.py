@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, ShapeError
+from .errors import DomainError, ShapeError, check_bytes
 
 __all__ = [
     "Dataset",
@@ -40,6 +40,9 @@ _MAGIC = b"JLKIT-DATASET-01"  # exactly 16 bytes: magic + version
 # dataset itself), which would otherwise correlate operator rows with
 # data points and wreck the distance guarantees.
 _OPERATOR_STREAM = 0x6F70
+
+# Most entries of the buffer the operator's rows are squared into (128 KiB).
+_NORM_ENTRIES = 1 << 14
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,19 +98,25 @@ def build_operator(n: int, n_prime: int, seed: int, orthonormalize: bool = False
     """Draw a seeded n' x n operator with unit-norm rows, or orthonormal ones.
 
     Deterministic in (n, n_prime, seed, orthonormalize).  Orthonormal rows
-    come from QR with a deterministic sign fix.
+    come from QR with a deterministic sign fix; unit-norm rows are scaled a
+    block at a time, by np.linalg.norm's own sums, so the peak is the operator
+    plus one small buffer.  An operator past physical memory is refused first.
     """
     if not 0 < n_prime < n:
         raise ShapeError(f"need 0 < n' < n, got n'={n_prime}, n={n}")
     if seed < 0:
         raise DomainError(f"seed must be a non-negative integer, got {seed}")
+    check_bytes(8 * n_prime * n * (1 + orthonormalize), f"the {n_prime} x {n} operator")
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(_OPERATOR_STREAM,)))
     rows = rng.standard_normal((n_prime, n))
     if orthonormalize:
         q, r = np.linalg.qr(rows.T)
         rows = (q * np.sign(np.diag(r))).T
     else:
-        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+        buf = np.empty((min(max(1, _NORM_ENTRIES // n), n_prime), n))
+        for start in range(0, n_prime, len(buf)):
+            blk = rows[start:start + len(buf)]
+            blk /= np.sqrt(np.add.reduce(np.multiply(blk, blk, out=buf[: len(blk)]), axis=1))[:, None]
     rows.setflags(write=False)
     return ProjectionOperator(n=n, n_prime=n_prime, seed=seed, rows=rows, orthonormal=orthonormalize)
 

@@ -2,11 +2,12 @@ import csv
 import json
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from jlkit import kmeans, projection
+from jlkit import errors, kmeans, projection
 from jlkit.cli import main
 from jlkit.clusterability import measure_sigma_separatedness
 from jlkit.dimension import explicit_dimension, implicit_dimension
@@ -140,6 +141,24 @@ class TestPipeline:
         assert "violations: 0" in out
         with open(hist_path, newline="") as fh:
             assert next(csv.reader(fh)) == ["bin_lo", "bin_hi", "count"]
+
+    def test_oversized_operator_exit_2(self, capsys, tmp_path, monkeypatch):
+        # The 100000 x 200000 operator is 149 GiB: refused before the draw.
+        # The budget is shrunk to 1 GiB so that the refusal does not depend
+        # on the machine's memory.
+        monkeypatch.setattr(errors, "_PHYSICAL_BYTES", 2**30)
+        data_path = str(tmp_path / "wide.bin")
+        save_dataset(Dataset(points=np.ones((2, 200_000))), data_path)
+        tracemalloc.start()
+        try:
+            code, _, err = run(capsys, "project", "--input", data_path, "--out", str(tmp_path / "proj.bin"),
+                               "--nprime", "100000")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert f"{8 * 100_000 * 200_000} bytes" in err
+        assert peak < 2**26
 
     def test_dim_prints_the_resolved_n_prime(self, capsys, tmp_path):
         # The explicit n' (1187) exceeds n = 400; dim and project agree on the implicit one.

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -361,6 +362,16 @@ class TestPerturbationRobustness:
         data = Dataset(points=np.random.default_rng(0).standard_normal((6, 2)))
         for s in (1e-90, 1e-150):
             assert check_perturbation_robustness(data, 2, s, trials=30, seed=0) is False
+
+    def test_s_whose_reciprocal_overflows(self):
+        # 1/s is inf at 1e-320: the factors' upper end is clamped to the float
+        # maximum.  Squared factor products overflow at both s; the inf
+        # distances they give go to the oracle without a warning.
+        data = Dataset(points=np.random.default_rng(0).standard_normal((6, 2)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for s in (1e-300, 1e-320):
+                assert check_perturbation_robustness(data, 2, s, trials=30, seed=0) is False
 
     def test_size_limit(self):
         with pytest.raises(DomainError):

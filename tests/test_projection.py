@@ -2,12 +2,13 @@ import dataclasses
 import os
 import struct
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from jlkit import projection
+from jlkit import errors, projection
 from jlkit.errors import DomainError, ShapeError
 from jlkit.projection import (
     Dataset,
@@ -63,6 +64,33 @@ class TestBuildOperator:
         op = build_operator(500, 60, seed=7)
         norms = np.linalg.norm(op.rows, axis=1)
         assert np.all(np.abs(norms - 1.0) < 1e-12)
+
+    @pytest.mark.parametrize("n, n_prime", [(2000, 783), (500, 403), (16385, 5), (20000, 3), (130, 65), (2, 1)])
+    def test_rows_are_the_linalg_norm_rows(self, n, n_prime):
+        # Normalised a block at a time, the rows are bit for bit those of one
+        # np.linalg.norm over the whole draw: n > 2^14 takes one row a block,
+        # and 783 and 403 rows are not whole numbers of 8- and 32-row blocks.
+        seq = np.random.SeedSequence(11, spawn_key=(projection._OPERATOR_STREAM,))
+        rows = np.random.default_rng(seq).standard_normal((n_prime, n))
+        expected = rows / np.linalg.norm(rows, axis=1, keepdims=True)
+        assert build_operator(n, n_prime, seed=11).rows.tobytes() == expected.tobytes()
+
+    def test_peak_is_the_operator_and_one_buffer(self):
+        build_operator(40, 10, seed=0)  # one-off set-up of the generator is not the draw's
+        tracemalloc.start()
+        try:
+            op = build_operator(2000, 783, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= op.rows.nbytes + 2**20
+
+    def test_refused_before_the_draw_beyond_physical_memory(self, monkeypatch):
+        # 8 n' n bytes for unit-norm rows, twice that for the QR's copy.
+        monkeypatch.setattr(errors, "_PHYSICAL_BYTES", 2 * 8 * 10 * 40 - 1)
+        assert build_operator(40, 10, seed=0).rows.shape == (10, 40)
+        with pytest.raises(DomainError, match="6400 bytes"):
+            build_operator(40, 10, seed=0, orthonormalize=True)
 
     def test_scale(self):
         op = build_operator(200, 50, seed=0)
