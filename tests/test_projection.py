@@ -76,7 +76,7 @@ class TestBuildOperator:
         assert build_operator(n, n_prime, seed=11).rows.tobytes() == expected.tobytes()
 
     def test_peak_is_the_operator_and_one_buffer(self):
-        build_operator(40, 10, seed=0)  # one-off set-up of the generator is not the draw's
+        build_operator(40, 10, seed=0)  # the first call's one-off allocations are not the draw's
         tracemalloc.start()
         try:
             op = build_operator(2000, 783, seed=0)
