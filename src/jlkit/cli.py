@@ -153,6 +153,7 @@ def _cmd_verify(args) -> int:
     if args.histogram:
         geometry.export_histogram(report, args.histogram)
         print(f"histogram -> {args.histogram}")
+    del report  # the trials build their own original distances
     if args.estimate_trials is not None:
         est = geometry.estimate_failure_rate(
             original, projected.dim, args.delta, args.estimate_trials, args.base_seed, orthonormal

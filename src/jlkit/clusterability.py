@@ -227,7 +227,8 @@ def check_perturbation_robustness(
         factors = np.ones((m, m))
         factors[iu] = rng.uniform(s, min(1.0 / s, np.finfo(float).max), size=iu[0].size)  # 1/s may be inf
         with np.errstate(over="ignore"):  # an inf perturbed distance is valid oracle input
-            perturbed = sq * (factors * factors.T) ** 2  # factors act on distances, costs use squares
+            # Factors act on distances, costs use squares; a zero distance stays 0, never 0 * inf.
+            perturbed = np.multiply(sq, (factors * factors.T) ** 2, out=np.zeros_like(sq), where=sq > 0.0)
         if not np.array_equal(oracle.optimum(perturbed, k, bound / s / s)[0], reference.assignments):
             return False
     return True

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDataError, DomainError, ShapeError
+from .errors import DegenerateDataError, DomainError, ShapeError, check_bytes
 from .projection import Dataset, projections
 
 __all__ = [
@@ -56,6 +56,7 @@ class FailureRateEstimate:
 # temporaries stays near 10 MB, and the per-block Python overhead is small
 # against its GEMM.
 _BLOCK = 256
+_ROWS = 16  # rows of a block whose norm sums and cancellation test are formed at once
 
 # The expansion |x|^2 + |y|^2 - 2 x.y of a pair (here), or of a block's
 # cost (in kmeans.cluster_stats), counts as cancelled when it falls below
@@ -105,26 +106,32 @@ def _upper_blocks(points: np.ndarray, norms: np.ndarray) -> Iterator[np.ndarray]
     + ||x_j||^2 - 2 x_i.x_j, the squared row norms given as ``norms``,
     clamped at 0, unless that expansion cancels (see ``CANCELLATION_RATIO``):
     such pairs are recomputed about a point near them (``_reexpand``), which
-    makes equal rows exactly 0.
+    makes equal rows exactly 0.  A yielded array is a view of the one block
+    alive, the triangle packed to its front; drop it before the next.
     """
     m = points.shape[0]
     upper = np.arange(min(_BLOCK, m))[:, None] < np.arange(m)
     for s in range(0, m, _BLOCK):
         e = min(s + _BLOCK, m)
-        upper_blk = upper[: e - s, : m - s]
-        nsum = norms[s:e, None] + norms[s:]
         sq = points[s:e] @ points[s:].T
         sq *= -2.0
-        sq += nsum
-        np.maximum(sq, 0.0, out=sq)
-        near = sq * CANCELLATION_RATIO < nsum
-        del nsum
-        near &= upper_blk
+        near = np.empty(sq.shape, dtype=bool)
+        for r in range(s, e, _ROWS):
+            nsum = norms[r : min(r + _ROWS, e), None] + norms[s:]
+            blk = sq[r - s : r - s + _ROWS]
+            blk += nsum
+            np.maximum(blk, 0.0, out=blk)
+            np.less(blk * CANCELLATION_RATIO, nsum, out=near[r - s : r - s + _ROWS])
+        near &= upper[: e - s, : m - s]
         if near.any():
             _reexpand(points, s, sq, near)
-        seg = sq[upper_blk]
-        del sq, near  # only the upper triangle stays alive while the caller works
-        yield seg
+        del near, nsum, blk  # blk would keep the block alive through the next Gram
+        sq, width, pos = sq.reshape(-1), m - s, 0
+        for i in range(e - s):  # row i's pairs j > i, packed towards the front
+            sq[pos : pos + width - i - 1] = sq[i * width + i + 1 : (i + 1) * width]
+            pos += width - i - 1
+        yield sq[:pos]
+        del sq
 
 
 def pairwise_sq_dists(points: np.ndarray) -> np.ndarray:
@@ -138,14 +145,18 @@ def pairwise_sq_dists(points: np.ndarray) -> np.ndarray:
     as for data translated far from the origin or tight clusters far from
     it, the pair is recomputed about a nearby point, which brings it
     within rounding of direct difference and makes equal rows exactly 0.
+    Beyond the output, whose size is checked against physical memory
+    first, the transient peak is one Gram block plus a few rows.
     """
     points = np.asarray(points, dtype=np.float64)
     m = points.shape[0]
+    check_bytes(8 * (m * (m - 1) // 2), f"the {m * (m - 1) // 2} pairwise distances")
     out = np.empty(m * (m - 1) // 2, dtype=np.float64)
     pos = 0
     for seg in _upper_blocks(points, np.einsum("ij,ij->i", points, points)):
         out[pos : pos + seg.size] = seg
         pos += seg.size
+        del seg  # the block is freed before the next one's Gram
     return out
 
 
@@ -178,9 +189,10 @@ def _block_quotients(sq_orig: np.ndarray, projected: Dataset, adjust: float) -> 
         nonzero = sq_o > 0.0
         if not nonzero.all():
             sq_o, sq_proj = sq_o[nonzero], sq_proj[nonzero]
-        q = np.multiply(adjust, sq_proj)
-        q /= sq_o
-        yield q
+        sq_proj *= adjust
+        sq_proj /= sq_o
+        yield sq_proj
+        del sq_proj, sq_o, nonzero
 
 
 def distortion_report(original: Dataset, projected: Dataset, delta: float) -> DistortionReport:
@@ -196,7 +208,8 @@ def distortion_report(original: Dataset, projected: Dataset, delta: float) -> Di
     both spaces the pairs where the Gram expansion cancels are
     recomputed, so bitwise-equal original rows always give zero pairs,
     and translating the data moves the quotients by rounding only.  The
-    identity case n' == n is allowed as a diagnostic mode.
+    transient peak beyond the quotients is one Gram block plus a few rows.
+    The identity case n' == n is allowed as a diagnostic mode.
     """
     if original.m != projected.m:
         raise ShapeError(f"point counts differ: {original.m} vs {projected.m}")
@@ -217,6 +230,7 @@ def distortion_report(original: Dataset, projected: Dataset, delta: float) -> Di
         violations += int(np.count_nonzero((q < band[0]) | (q > band[1])))
         quotients[pos : pos + q.size] = q
         pos += q.size
+        del q
     zero_pairs = pair_count - pos
     if zero_pairs == pair_count and pair_count > 0:
         raise DegenerateDataError("all point pairs coincide in the original data")
@@ -251,6 +265,7 @@ def estimate_failure_rate(
         for q in _block_quotients(sq_orig, projected, adjust):
             if q.size:
                 lo, hi = min(lo, float(q.min())), max(hi, float(q.max()))
+            del q
         del projected  # freed before the next trial's projection is built
         extremes.append((lo, hi))
     failures = sum(lo < 1.0 - delta or hi > 1.0 + delta for lo, hi in extremes)

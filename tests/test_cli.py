@@ -392,6 +392,44 @@ class TestPipeline:
         assert code == 2
         assert err.startswith("error: trials")
 
+    def test_verify_oversized_pairwise_distances_exit_2(self, capsys, tmp_path, monkeypatch):
+        # 3000 points have 4,498,500 pairs, 35,988,000 bytes of squared
+        # distances: refused against a 16 MiB budget before they are allocated.
+        monkeypatch.setattr(errors, "_PHYSICAL_BYTES", 2**24)
+        a, b = str(tmp_path / "a.bin"), str(tmp_path / "b.bin")
+        data = Dataset(points=np.random.default_rng(5).standard_normal((3000, 3)))
+        save_dataset(data, a)
+        save_dataset(Dataset(points=data.points[:, :2]), b)
+        tracemalloc.start()
+        try:
+            code, _, err = run(capsys, "verify", "--original", a, "--projected", b, "--delta", "0.3")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert f"{8 * 3000 * 2999 // 2} bytes" in err
+        assert peak < 2**21
+
+    def test_verify_estimate_holds_one_set_of_distances(self, capsys, tmp_path):
+        # The report is dropped before the trials build their own original
+        # distances, so the estimate adds at most one projection to the peak.
+        a, b = str(tmp_path / "a.bin"), str(tmp_path / "b.bin")
+        data = Dataset(points=np.random.default_rng(5).standard_normal((2000, 300)))
+        save_dataset(data, a)
+        save_dataset(project(build_operator(300, 200, seed=1), data), b)
+
+        def peak(*extra):
+            tracemalloc.start()
+            try:
+                code, _, _ = run(capsys, "verify", "--original", a, "--projected", b, "--delta", "0.3", *extra)
+                return code, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        (code, alone), (code_est, with_est) = peak(), peak("--estimate-trials", "2")
+        assert code == code_est == 0
+        assert with_est <= alone + 8 * 2000 * 200
+
 
 @pytest.mark.parametrize("command", ["project", "kmeans-compare", "clusterability"])
 @pytest.mark.parametrize("delta", ["0", "0.7", "-0.2"])

@@ -373,6 +373,16 @@ class TestPerturbationRobustness:
             for s in (1e-300, 1e-320):
                 assert check_perturbation_robustness(data, 2, s, trials=30, seed=0) is False
 
+    def test_duplicate_rows_where_factor_products_overflow(self):
+        # The squared factor products overflow to inf at both s; the equal
+        # rows' zero distance must stay 0, not become 0 * inf = NaN.
+        pts = np.random.default_rng(0).standard_normal((6, 2))
+        pts[1] = pts[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for s in (1e-160, 1e-300):
+                assert check_perturbation_robustness(Dataset(points=pts), 2, s, trials=30, seed=0) is False
+
     def test_size_limit(self):
         with pytest.raises(DomainError):
             check_perturbation_robustness(

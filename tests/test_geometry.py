@@ -330,6 +330,23 @@ class TestBlockKernel:
         assert report.violations == int(np.sum(copies[i] * copies[j] * outside)) == 8
 
 
+    def test_transient_peak_is_under_two_gram_blocks(self):
+        # Beyond its output, each call holds one 8 x block x m Gram block at
+        # a time and a few rows of scratch.
+        m = 3000
+        data = Dataset(points=np.random.default_rng(5).standard_normal((m, 300)))
+        proj = project(build_operator(300, 100, seed=1), data)
+        block, out = 8 * geometry._BLOCK * m, 8 * (m * (m - 1) // 2)
+        for call in (lambda: pairwise_sq_dists(data.points), lambda: distortion_report(data, proj, 0.3)):
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak - out <= 2 * block
+
+
 class TestFailureRateStreaming:
     # Failure counts recorded with the previous full-Gram implementation.
     @pytest.mark.parametrize(
