@@ -52,8 +52,8 @@ class FailureRateEstimate:
     extremes: tuple[tuple[float, float], ...]  # per trial: min, max quotient; (inf, -inf) if m = 1
 
 
-# Rows per block of the pairwise kernel: at m = 5000 each of a block's
-# temporaries stays near 10 MB, and the per-block Python overhead is small
+# Rows per block of the pairwise kernel: at m = 5000 the one Gram block
+# alive stays near 10 MB, and the per-block Python overhead is small
 # against its GEMM.
 _BLOCK = 256
 _ROWS = 16  # rows of a block whose norm sums and cancellation test are formed at once
