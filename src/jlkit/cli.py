@@ -3,7 +3,7 @@
 Subcommands: dim, reproduce, gen, project, verify, kmeans-compare,
 clusterability.  Every command prints its resolved configuration
 (including seeds) before computing, so any output can be regenerated.
-Exit codes: 0 success, 1 I/O error, 2 validation error.
+Exit codes: 0 success, 1 I/O error, 2 validation error or failed allocation.
 
 The BLAS thread count is the BLAS library's own: set
 OPENBLAS_NUM_THREADS or OMP_NUM_THREADS before starting jlkit.
@@ -117,7 +117,7 @@ def _cmd_gen(args) -> int:
     if args.partition_out:
         kmeans.save_partition(partition, args.partition_out)
         print(f"partition -> {args.partition_out}")
-    gap = kmeans.measure_gap(data, partition).g if args.k > 1 else 2.0
+    gap = kmeans.measure_gap(data, partition) if args.k > 1 else 2.0
     print(f"measured gap: {gap:.4f}")
     return 0
 
@@ -196,27 +196,21 @@ def _cmd_kmeans_compare(args) -> int:
 
 def _cmd_clusterability(args) -> int:
     data, n_prime, orthonormal = _load_input("clusterability", args)
-    sigma = clus.measure_sigma_separatedness(data, args.k)
-    opt_partition, _ = kmeans.brute_force_optimum(data, args.k)
-    beta = clus.measure_centre_stability(data, opt_partition)
-    deletion = clus.measure_weak_deletion_stability(data, args.k)
-    print(f"measured: sigma={sigma:.6g} beta={beta:.6g} deletion_ratio={deletion:.6g}")
-    before = clus.ClusterabilityParams(sigma_separatedness=sigma, centre_stability_beta=beta,
-                                       weak_deletion_beta=deletion - 1.0)
+    before = clus.measure(data, args.k)
+    print(f"measured: sigma={before.sigma_separatedness:.6g} beta={before.centre_stability_beta:.6g} "
+          f"deletion_ratio={1.0 + before.weak_deletion_beta:.6g}")
     predicted = clus.transport(before, args.delta)
     records = clus.transport_trials(data, args.k, n_prime, args.trials, args.seed, orthonormal)
-    # Per parameter: its printed name, its value in each trial and which of
-    # two values is the worse (sigma is better low, the others high).  A
-    # trial meets the predicted bound when the worse of its value and the
-    # bound is the bound; the CSV row holds the worst trial.
-    checks = [
-        ("sigma", "sigma_separatedness", [r.sigma for r in records], max),
-        ("beta", "centre_stability_beta", [r.beta for r in records], min),
-        ("deletion", "weak_deletion_beta", [r.deletion_ratio - 1.0 for r in records], min),
-    ]
+    # Per parameter: its printed name and which of two values is the worse
+    # (sigma is better low, the others high).  A trial meets the predicted
+    # bound when the worse of its value and the bound is the bound; the CSV
+    # row holds the worst trial.
+    checks = [("sigma", "sigma_separatedness", max), ("beta", "centre_stability_beta", min),
+              ("deletion", "weak_deletion_beta", min)]
     rows = []
-    for label, name, values, worst in checks:
+    for label, name, worst in checks:
         bound = getattr(predicted, name)
+        values = [getattr(r, name) for r in records]
         met = [worst(v, bound) == bound for v in values]
         print(f"{label} bound satisfied: {sum(met)}/{args.trials} = {sum(met) / args.trials:.4f}")
         rows.append([name, f"{getattr(before, name):.10g}", f"{bound:.10g}",
@@ -321,7 +315,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except JlkitError as err:
+    except (JlkitError, MemoryError) as err:  # numpy's MemoryError names the size it could not get
         print(f"error: {err}", file=sys.stderr)
         return 2
     except OSError as err:

@@ -33,7 +33,7 @@ from .projection import Dataset, projections
 
 __all__ = [
     "ClusterabilityParams",
-    "TransportTrial",
+    "measure",
     "transport",
     "transport_trials",
     "required_mult_perturb_s",
@@ -57,14 +57,6 @@ class ClusterabilityParams:
     approx_stability: tuple[float, float] | None = None  # (c > 1, sigma)
     centre_stability_beta: float | None = None        # > 1
     weak_deletion_beta: float | None = None           # beta > 0, ratio is 1 + beta
-
-
-@dataclass(frozen=True)
-class TransportTrial:
-    seed: int               # operator seed of the projection
-    sigma: float            # measured on the projection: sigma-separatedness,
-    beta: float             # centre stability of its optimum,
-    deletion_ratio: float   # and the weak-deletion ratio
 
 
 def transport(before: ClusterabilityParams, delta: float) -> ClusterabilityParams:
@@ -171,17 +163,21 @@ def measure_weak_deletion_stability(data: Dataset, k: int) -> float:
     return (stats.cost + float(rise.min())) / stats.cost
 
 
+def measure(data: Dataset, k: int) -> ClusterabilityParams:
+    """sigma-separatedness, the optimum's centre stability and weak-deletion beta (ratio - 1)."""
+    return ClusterabilityParams(
+        sigma_separatedness=measure_sigma_separatedness(data, k),
+        centre_stability_beta=measure_centre_stability(data, brute_force_optimum(data, k)[0]),
+        weak_deletion_beta=measure_weak_deletion_stability(data, k) - 1.0,
+    )
+
+
 def transport_trials(
     data: Dataset, k: int, n_prime: int, trials: int, base_seed: int, orthonormalize: bool = False
-) -> list[TransportTrial]:
-    """Measure sigma, beta and the deletion ratio under ``projections`` with seeds base_seed + t."""
-    records = []
-    for seed, projected in projections(data, n_prime, trials, base_seed, orthonormalize):
-        sigma = measure_sigma_separatedness(projected, k)
-        partition, _ = brute_force_optimum(projected, k)
-        records.append(TransportTrial(seed, sigma, measure_centre_stability(projected, partition),
-                                      measure_weak_deletion_stability(projected, k)))
-    return records
+) -> list[ClusterabilityParams]:
+    """``measure`` of each projection that ``projections`` draws, in seed order base_seed + t."""
+    return [measure(projected, k)
+            for _, projected in projections(data, n_prime, trials, base_seed, orthonormalize)]
 
 
 def check_perturbation_robustness(

@@ -22,8 +22,6 @@ from .projection import Dataset, projections
 __all__ = [
     "Partition",
     "ClusterStats",
-    "PairBalance",
-    "GapMeasure",
     "SandwichResult",
     "SandwichTrial",
     "GlobalTransferResult",
@@ -83,19 +81,6 @@ class ClusterStats:
     sizes: np.ndarray       # k
     variances: np.ndarray   # k, VAR(C_j) = mean squared deviation
     cost: float             # sum_j sizes[j] * variances[j]
-
-
-@dataclass(frozen=True)
-class PairBalance:
-    p: float                # max of the pairwise quotient
-    per_pair: np.ndarray    # k x k, upper triangle filled, NaN elsewhere
-
-
-@dataclass(frozen=True)
-class GapMeasure:
-    per_pair_alpha: np.ndarray  # k x k, alpha of ordered pair (row -> col)
-    g: float                    # 2 * (1 - max alpha)
-    d_halfdist: np.ndarray      # k x k half distances between centroids
 
 
 @dataclass(frozen=True)
@@ -361,8 +346,8 @@ def _centroid_sq_dists(centroids: np.ndarray) -> np.ndarray:
     return sq
 
 
-def pair_balance(stats: ClusterStats) -> PairBalance:
-    """Balance quotient of every cluster pair; p is their maximum.
+def pair_balance(stats: ClusterStats) -> float:
+    """Balance quotient p: the largest over cluster pairs of their pair quotient.
 
     For clusters C1, C2 of sizes m1, m2 and m12 = m1 + m2 the quotient is
     (VAR(C1) m12/m2 + VAR(C2) m12/m1) / ||mu1 - mu2||^2, all pairs at once
@@ -376,9 +361,7 @@ def pair_balance(stats: ClusterStats) -> PairBalance:
     sizes, var = stats.sizes, stats.variances
     i, j = np.triu_indices(k, 1)
     m12 = sizes[i] + sizes[j]
-    per_pair = np.full((k, k), np.nan)
-    per_pair[i, j] = (var[i] * m12 / sizes[j] + var[j] * m12 / sizes[i]) / sq_gap[i, j]
-    return PairBalance(p=float(np.nanmax(per_pair)), per_pair=per_pair)
+    return float(np.nanmax((var[i] * m12 / sizes[j] + var[j] * m12 / sizes[i]) / sq_gap[i, j]))
 
 
 def is_lloyd_fixed_point(data: Dataset, partition: Partition) -> bool:
@@ -392,8 +375,8 @@ def is_lloyd_fixed_point(data: Dataset, partition: Partition) -> bool:
     return bool(np.all(own <= sq.min(axis=1)))
 
 
-def measure_gap(data: Dataset, partition: Partition) -> GapMeasure:
-    """Relative gap g = 2 (1 - max alpha) between clusters.
+def measure_gap(data: Dataset, partition: Partition) -> float:
+    """Relative gap g = 2 (1 - max alpha) between clusters, the max over ordered pairs.
 
     For the ordered pair (A, B), alpha is the largest scalar projection of
     a point of A (relative to A's centroid) onto the unit vector toward
@@ -412,11 +395,8 @@ def measure_gap(data: Dataset, partition: Partition) -> GapMeasure:
         pts = data.points[partition.members(a)] - centroids[a]
         reach[a] = (pts @ (centroids - centroids[a]).T).max(axis=0)
     off = ~np.eye(k, dtype=bool)
-    alpha = np.full((k, k), np.nan)
-    alpha[off] = np.clip(2.0 * reach[off] / sq[off], 0.0, 1.0)
-    halfdist = np.where(off, np.sqrt(sq) / 2.0, np.nan)
-    g = 2.0 * (1.0 - float(np.nanmax(alpha)))
-    return GapMeasure(per_pair_alpha=alpha, g=g, d_halfdist=halfdist)
+    alpha = np.clip(2.0 * reach[off] / sq[off], 0.0, 1.0)
+    return 2.0 * (1.0 - float(np.nanmax(alpha)))
 
 
 def global_optimum_transfer_check(

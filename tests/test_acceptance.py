@@ -260,8 +260,8 @@ def test_criterion_5_fixed_point_transfer():
         cluster_sigma=0.1, target_gap=1.2, seed=7,
     ))
     assert is_lloyd_fixed_point(data, truth)
-    g = measure_gap(data, truth).g
-    p = pair_balance(cluster_stats(data, truth)).p
+    g = measure_gap(data, truth)
+    p = pair_balance(cluster_stats(data, truth))
     bound = gap_delta_bound(g, p)
     delta_fwd = min(0.45, bound)
     # Converse direction: delta/(1-delta) must stay below the bound as
@@ -278,8 +278,8 @@ def test_criterion_5_fixed_point_transfer():
         if is_lloyd_fixed_point(projected, truth):
             forward_hits += 1
         part_p, stats_p = lloyd(projected2, 2, init=truth)
-        g_p = measure_gap(projected2, part_p).g
-        p_p = pair_balance(stats_p).p
+        g_p = measure_gap(projected2, part_p)
+        p_p = pair_balance(stats_p)
         if delta_conv / (1.0 - delta_conv) <= gap_delta_bound(g_p, p_p):
             conv_condition_hits += 1
         if is_lloyd_fixed_point(data, part_p):
@@ -396,23 +396,21 @@ def test_criterion_8_clusterability_transport():
         cluster_sigma=0.05, target_gap=1.0, seed=33,
     ))
     n_prime = explicit_dimension(data.m, eps, delta)
-    sigma = clus.measure_sigma_separatedness(data, 2)
-    opt_part, _ = brute_force_optimum(data, 2)
-    beta = clus.measure_centre_stability(data, opt_part)
-    deletion = clus.measure_weak_deletion_stability(data, 2)
+    before = clus.measure(data, 2)
+    sigma, beta = before.sigma_separatedness, before.centre_stability_beta
+    deletion = 1.0 + before.weak_deletion_beta  # the ratio, as measured
     assert 0.0 < sigma < 1.0 and beta > 1.0 and deletion > 1.0
     # The bounds come from transport, as the clusterability command reads them.
-    predicted = clus.transport(clus.ClusterabilityParams(
-        sigma_separatedness=sigma, centre_stability_beta=beta, weak_deletion_beta=deletion - 1.0), delta)
+    predicted = clus.transport(before, delta)
     # Perturbation-robustness precondition in the original space.
     s_p_sq, nu_sq = 0.9, 0.95
     s_sq = clus.required_mult_perturb_s(s_p_sq, nu_sq, delta)
     assert clus.check_perturbation_robustness(data, 2, math.sqrt(s_sq), trials=50, seed=1)
     records = clus.transport_trials(data, 2, n_prime, seeds, base_seed=3000)
     counts = {
-        "sigma": sum(r.sigma <= predicted.sigma_separatedness for r in records),
-        "beta": sum(r.beta >= predicted.centre_stability_beta for r in records),
-        "deletion": sum(r.deletion_ratio - 1.0 >= predicted.weak_deletion_beta for r in records),
+        "sigma": sum(r.sigma_separatedness <= predicted.sigma_separatedness for r in records),
+        "beta": sum(r.centre_stability_beta >= predicted.centre_stability_beta for r in records),
+        "deletion": sum(r.weak_deletion_beta >= predicted.weak_deletion_beta for r in records),
         "perturbation": 0,
     }
     for t, (_, projected) in enumerate(projections(data, n_prime, seeds, 3000)):

@@ -1,12 +1,18 @@
 import csv
 import json
 import math
+import os
+import resource
 import struct
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import jlkit
 from jlkit import errors, kmeans, projection
 from jlkit.cli import main
 from jlkit.clusterability import measure_sigma_separatedness
@@ -409,6 +415,28 @@ class TestPipeline:
         assert code == 2
         assert f"{8 * 3000 * 2999 // 2} bytes" in err
         assert peak < 2**21
+
+    @pytest.mark.parametrize("command", ["verify", "gen"])
+    def test_failed_allocation_exit_2(self, tmp_path, command):
+        # Under a 3 GB address-space limit, set in the child only: verify's
+        # 3.35 GiB of distances for 30,000 points pass the physical-memory
+        # check on any machine of 4 GB or more, and gen's 373 GiB mixture is
+        # not checked at all; numpy's MemoryError names the size.
+        a = str(tmp_path / "a.bin")
+        save_dataset(Dataset(points=np.random.default_rng(5).standard_normal((30_000, 3))), a)
+        argv = {"verify": ["verify", "--original", a, "--projected", a, "--delta", "0.3"],
+                "gen": ["gen", "--k", "2", "--sizes", "50000000,50000000", "--dim", "1000",
+                        "--out", str(tmp_path / "big.bin")]}[command]
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (3 * 10**9, 3 * 10**9))
+
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(Path(jlkit.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-m", "jlkit.cli", *argv], env=env, preexec_fn=limit,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2
+        assert "GiB" in proc.stderr and "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ")
 
     def test_verify_estimate_holds_one_set_of_distances(self, capsys, tmp_path):
         # The report is dropped before the trials build their own original

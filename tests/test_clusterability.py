@@ -9,8 +9,8 @@ import pytest
 from jlkit import clusterability, kmeans, oracle
 from jlkit.clusterability import (
     ClusterabilityParams,
-    TransportTrial,
     check_perturbation_robustness,
+    measure,
     measure_centre_stability,
     measure_sigma_separatedness,
     measure_weak_deletion_stability,
@@ -390,17 +390,27 @@ class TestPerturbationRobustness:
             )
 
 
+class TestMeasure:
+    def test_fields_are_the_three_measurements(self):
+        rng = np.random.default_rng(4)
+        data = Dataset(points=rng.standard_normal((9, 40)) + np.repeat([[0.0], [4.0], [8.0]], 3, axis=0))
+        record = measure(data, 3)
+        partition, _ = brute_force_optimum(data, 3)
+        ratio = measure_weak_deletion_stability(data, 3)
+        assert record == ClusterabilityParams(
+            sigma_separatedness=measure_sigma_separatedness(data, 3),
+            centre_stability_beta=measure_centre_stability(data, partition),
+            weak_deletion_beta=ratio - 1.0,
+        )
+        assert 1.0 + record.weak_deletion_beta == ratio
+
+
 class TestTransportTrials:
     def test_records_match_direct_measurements(self):
         rng = np.random.default_rng(4)
         data = Dataset(points=rng.standard_normal((9, 40)) + np.repeat([[0.0], [4.0], [8.0]], 3, axis=0))
         records = transport_trials(data, 3, 12, trials=3, base_seed=5)
-        for t, rec in enumerate(records):
-            projected = project(build_operator(40, 12, 5 + t), data)
-            partition, _ = brute_force_optimum(projected, 3)
-            assert rec == TransportTrial(5 + t, measure_sigma_separatedness(projected, 3),
-                                         measure_centre_stability(projected, partition),
-                                         measure_weak_deletion_stability(projected, 3))
+        assert records == [measure(project(build_operator(40, 12, 5 + t), data), 3) for t in range(3)]
         with pytest.raises(DomainError):
             transport_trials(data, 3, 12, trials=0, base_seed=5)
 

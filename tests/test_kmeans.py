@@ -870,36 +870,32 @@ class TestBalance:
         stats = cluster_stats(data, part)
         v = float(stats.variances[0])
         expected = 4.0 * v / 36.0
-        assert pair_balance(stats).per_pair[0, 1] == pytest.approx(expected, rel=1e-9)
-        assert pair_balance(stats).p == pytest.approx(expected, rel=1e-9)
+        assert pair_balance(stats) == pytest.approx(expected, rel=1e-9)
 
     def test_zero_variance_gives_zero(self):
         data = line_dataset(0, 0, 5, 5)
         stats = cluster_stats(data, Partition(assignments=np.array([0, 0, 1, 1]), k=2))
-        assert pair_balance(stats).per_pair[0, 1] == 0.0
+        assert pair_balance(stats) == 0.0
 
     def test_coincident_centroids_error(self):
         data = line_dataset(0, 2, 1, 1)
         stats = cluster_stats(data, Partition(assignments=np.array([0, 0, 1, 1]), k=2))
         with pytest.raises(DegenerateDataError):
-            pair_balance(stats).per_pair[0, 1]
+            pair_balance(stats)
 
     def test_matches_per_pair_formula(self):
         rng = np.random.default_rng(14)
         for k in range(2, 7):
             data = Dataset(points=rng.standard_normal((30, 4)) * rng.uniform(0.1, 10, size=4))
             stats = cluster_stats(data, random_partition(rng, 30, k))
-            per_pair = pair_balance(stats).per_pair
+            per_pair = []
             for j1 in range(k):
-                for j2 in range(k):
-                    if j1 >= j2:
-                        assert np.isnan(per_pair[j1, j2])
-                        continue
+                for j2 in range(j1 + 1, k):
                     m1, m2 = int(stats.sizes[j1]), int(stats.sizes[j2])
                     v1, v2 = float(stats.variances[j1]), float(stats.variances[j2])
                     sq_gap = float(np.sum((stats.centroids[j1] - stats.centroids[j2]) ** 2))
-                    expected = (v1 * (m1 + m2) / m2 + v2 * (m1 + m2) / m1) / sq_gap
-                    assert per_pair[j1, j2] == pytest.approx(expected, rel=1e-12, abs=0.0)
+                    per_pair.append((v1 * (m1 + m2) / m2 + v2 * (m1 + m2) / m1) / sq_gap)
+            assert pair_balance(stats) == pytest.approx(max(per_pair), rel=1e-12, abs=0.0)
 
 
 class TestFixedPoint:
@@ -940,23 +936,18 @@ class TestMeasureGap:
     def test_point_clusters_full_gap(self):
         data = line_dataset(0, 0, 8, 8)
         part = Partition(assignments=np.array([0, 0, 1, 1]), k=2)
-        gap = measure_gap(data, part)
-        assert gap.g == pytest.approx(2.0)
-        assert np.nanmax(gap.per_pair_alpha) == 0.0
-        assert gap.d_halfdist[0, 1] == pytest.approx(4.0)
+        assert measure_gap(data, part) == 2.0  # every alpha is 0
 
     def test_point_on_bisector_closes_gap(self):
         data = Dataset(points=np.array([[-1.0, 0.0], [1.0, 0.0], [2.0, 0.0], [2.0, 0.0]]))
         part = Partition(assignments=np.array([0, 0, 1, 1]), k=2)
-        gap = measure_gap(data, part)
-        assert gap.per_pair_alpha[0, 1] == pytest.approx(1.0)
-        assert gap.g == pytest.approx(0.0)
+        assert measure_gap(data, part) == pytest.approx(0.0)  # alpha of (0, 1) is 1
 
     def test_generated_gap_close_to_target(self):
         spec = MixtureSpec(k=2, sizes=(60, 60), dim=12, centre_distance=10.0,
                            cluster_sigma=0.8, target_gap=1.0, seed=3)
         data, part = generate(spec)
-        measured = measure_gap(data, part).g
+        measured = measure_gap(data, part)
         assert measured >= 1.0 - 0.05
 
     def test_matches_pair_loop(self):
@@ -969,21 +960,16 @@ class TestMeasureGap:
             data = Dataset(points=points + (1e6 if trial % 3 == 0 else 0.0))
             part = random_partition(rng, 40, k)
             centroids = cluster_stats(data, part).centroids
-            alpha = np.full((k, k), np.nan)
-            halfdist = np.full((k, k), np.nan)
+            alpha = []
             for a in range(k):
                 pts = data.points[part.members(a)] - centroids[a]
                 for b in range(k):
                     if a != b:
                         direction = centroids[b] - centroids[a]
                         dist = float(np.linalg.norm(direction))
-                        halfdist[a, b] = dist / 2.0
                         proj = pts @ (direction / dist)
-                        alpha[a, b] = min(1.0, max(0.0, float(proj.max()) / halfdist[a, b]))
-            gap = measure_gap(data, part)
-            np.testing.assert_allclose(gap.per_pair_alpha, alpha, rtol=0.0, atol=1e-12)
-            np.testing.assert_allclose(gap.d_halfdist, halfdist, rtol=1e-12, atol=0.0)
-            assert gap.g == pytest.approx(2.0 * (1.0 - np.nanmax(alpha)), rel=0.0, abs=1e-12)
+                        alpha.append(min(1.0, max(0.0, float(proj.max()) / (dist / 2.0))))
+            assert measure_gap(data, part) == pytest.approx(2.0 * (1.0 - max(alpha)), rel=0.0, abs=1e-12)
 
     def test_coincident_centroids_error(self):
         data = line_dataset(0, 2, 5, 1, 1, 7)
@@ -1065,7 +1051,10 @@ class TestGlobalTransfer:
         sandwich = cost_sandwich_check(
             cluster_stats(data, part), cluster_stats(projected, part), 30, 20, 0.9
         )
-        assert res.forward_ok == (sandwich.upper_margin >= 0)
+        # At k = 1 the forward margin is the sandwich's upper margin, the same expression.
+        assert res.forward_margin == sandwich.upper_margin
+        assert res.forward_ok == (res.forward_margin >= 0)
+        assert res.reverse_ok == (res.reverse_margin >= 0)
 
 
 class TestPartitionHelpers:
