@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InfeasibleError, ShapeError
+from .errors import DomainError, InfeasibleError, ShapeError, check_bytes
 from .kmeans import Partition, is_lloyd_fixed_point
 from .projection import Dataset
 
@@ -72,25 +72,27 @@ def _simplex_centroids(k: int, dim: int, distance: float) -> np.ndarray:
     return out
 
 
-def _sample_cluster(rng, centre, foreign_dirs, limit, size, sigma, dim):
-    # Rejection sampling: keep points whose projection toward every foreign
-    # centroid stays below the gap limit.
-    accepted = np.empty((0, dim))
-    proposed = 0
-    while accepted.shape[0] < size:
+def _sample_cluster(rng, centre, foreign_dirs, limit, sigma, out):
+    # Rejection sampling into the rows of out: keep points whose projection
+    # toward every foreign centroid stays below the gap limit.
+    size, dim = out.shape
+    filled = accepted = proposed = 0
+    while filled < size:
         batch = max(size, 128)
-        pts = centre + sigma * rng.standard_normal((batch, dim))
+        pts = rng.standard_normal((batch, dim))
+        pts *= sigma
+        pts += centre  # bit for bit centre + sigma * z
         proposed += batch
         if foreign_dirs.size:
             proj = (pts - centre) @ foreign_dirs.T
-            keep = np.all(proj <= limit, axis=1)
-            pts = pts[keep]
-        accepted = np.vstack([accepted, pts])
-        if proposed >= 200 * size and accepted.shape[0] < max(1, proposed // 100):
+            pts = pts[np.all(proj <= limit, axis=1)]
+        accepted += len(pts)
+        out[filled : filled + len(pts)] = pts[: size - filled]
+        filled = min(size, accepted)
+        if proposed >= 200 * size and accepted < max(1, proposed // 100):
             raise InfeasibleError(
                 "rejection rate above 99%: cluster_sigma too large for the target gap"
             )
-    return accepted[:size]
 
 
 def generate(spec: MixtureSpec) -> tuple[Dataset, Partition]:
@@ -99,42 +101,35 @@ def generate(spec: MixtureSpec) -> tuple[Dataset, Partition]:
     Deterministic in spec.seed.  When the spread is positive the
     ground-truth partition is additionally required to be a Lloyd fixed
     point of the generated data; failing draws are regenerated with an
-    incremented seed, up to 10 attempts.
+    incremented seed, up to 10 attempts, each freed before the next.  The
+    8 m dim bytes of the points are checked against physical memory before
+    any draw; each cluster's sampler writes its rows into the one output,
+    so the peak is the dataset plus two of its largest rejection rounds.
     """
-    base_seed = spec.seed
-    last_err = None
+    check_bytes(8 * spec.m * spec.dim, f"the generated dataset of {spec.m} x {spec.dim} points")
     for attempt in range(_MAX_FIXED_POINT_ATTEMPTS):
-        data, partition = _generate_once(spec, base_seed + attempt)
+        data, partition = _generate_once(spec, spec.seed + attempt)
         if spec.cluster_sigma == 0.0 or spec.k == 1 or is_lloyd_fixed_point(data, partition):
             return data, partition
-        last_err = InfeasibleError(
-            f"ground-truth partition is not a Lloyd fixed point after "
-            f"{_MAX_FIXED_POINT_ATTEMPTS} attempts from seed {base_seed}"
-        )
-    raise last_err
+        del data, partition  # freed before the next attempt is drawn
+    raise InfeasibleError(
+        f"ground-truth partition is not a Lloyd fixed point after "
+        f"{_MAX_FIXED_POINT_ATTEMPTS} attempts from seed {spec.seed}"
+    )
 
 
 def _generate_once(spec: MixtureSpec, seed: int) -> tuple[Dataset, Partition]:
     centroids = _simplex_centroids(spec.k, spec.dim, spec.centre_distance)
     alpha = 1.0 - spec.target_gap / 2.0
     half = spec.centre_distance / 2.0
-    blocks = []
-    labels = []
-    for j in range(spec.k):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(j,)))
-        others = [i for i in range(spec.k) if i != j]
-        if others and spec.cluster_sigma > 0.0:
-            dirs = centroids[others] - centroids[j]
-            dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        else:
-            dirs = np.empty((0, spec.dim))
+    points = np.empty((spec.m, spec.dim))
+    for j, rows in enumerate(np.split(points, np.cumsum(spec.sizes)[:-1])):  # views, written in place
         if spec.cluster_sigma == 0.0:
-            pts = np.tile(centroids[j], (spec.sizes[j], 1))
-        else:
-            pts = _sample_cluster(
-                rng, centroids[j], dirs, alpha * half, spec.sizes[j], spec.cluster_sigma, spec.dim
-            )
-        blocks.append(pts)
-        labels.extend([j] * spec.sizes[j])
-    data = Dataset(points=np.vstack(blocks))
-    return data, Partition(assignments=np.array(labels), k=spec.k)
+            rows[:] = centroids[j]
+            continue
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(j,)))
+        dirs = np.delete(centroids, j, axis=0) - centroids[j]
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        _sample_cluster(rng, centroids[j], dirs, alpha * half, spec.cluster_sigma, rows)
+    labels = np.repeat(np.arange(spec.k), spec.sizes)
+    return Dataset(points=points), Partition(assignments=labels, k=spec.k)

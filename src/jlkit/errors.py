@@ -32,4 +32,5 @@ class NumericalError(JlkitError, ArithmeticError):
 def check_bytes(nbytes: int, what: str) -> None:
     """Raise ``DomainError`` before allocating ``what`` when its ``nbytes`` exceed physical memory."""
     if nbytes > _PHYSICAL_BYTES:
-        raise DomainError(f"{what} needs {nbytes} bytes, more than the {_PHYSICAL_BYTES} bytes of physical memory")
+        raise DomainError(f"{what} needs {nbytes} bytes ({nbytes / 2**30:.1f} GiB), "
+                          f"more than the {_PHYSICAL_BYTES} bytes of physical memory")

@@ -57,6 +57,9 @@ class FailureRateEstimate:
 # against its GEMM.
 _BLOCK = 256
 _ROWS = 16  # rows of a block whose norm sums and cancellation test are formed at once
+# Entries of the point chunk that sq_dists_to differences against every
+# centre in turn (256 KiB): the chunk stays in cache across the centres.
+_CHUNK = 1 << 15
 
 # The expansion |x|^2 + |y|^2 - 2 x.y of a pair (here), or of a block's
 # cost (in kmeans.cluster_stats), counts as cancelled when it falls below
@@ -170,11 +173,24 @@ def sq_dists_to(points: np.ndarray, centres: np.ndarray) -> np.ndarray:
 
     Not by the |x|^2 + |c|^2 - 2 x.c expansion: a point on a centre is at
     exactly 0, and a common translation moves nothing but its own rounding.
+    The points are taken ``_CHUNK`` entries' worth of rows at a time, each
+    chunk differenced against every centre in one reused buffer, so beyond
+    the output the transient is 256 KiB, and each row's value is the same
+    difference and sum whatever the chunking.
     """
-    out = np.empty((len(points), len(centres)))
-    for j, centre in enumerate(centres):
-        diff = points - centre
-        out[:, j] = np.einsum("ij,ij->i", diff, diff)
+    m, d = points.shape
+    out = np.empty((m, len(centres)))
+    step = max(2, _CHUNK // max(1, d))
+    buf = np.empty((min(step, m), d))
+    for s in range(0, m, step):
+        # A lone last row goes with the row before it: einsum sums a single
+        # row longer than its 8192-entry buffer in pieces, in another order.
+        s = max(0, min(s, m - 2))
+        chunk = points[s : s + step]
+        diff = buf[: len(chunk)]
+        for j, centre in enumerate(centres):
+            np.subtract(chunk, centre, out=diff)
+            out[s : s + step, j] = np.einsum("ij,ij->i", diff, diff)
     return out
 
 

@@ -157,8 +157,8 @@ def cluster_stats(data: Dataset, partition: Partition) -> ClusterStats:
         if np.all(block == block[0]):
             centroids[j], costs[j] = block[0], 0.0
         else:
-            diff = block - centroids[j]
-            costs[j] = np.einsum("ij,ij->", diff, diff)
+            block -= centroids[j]  # a fresh copy, centred in place
+            costs[j] = np.einsum("ij,ij->", block, block)
     variances = costs / sizes
     cost = float(np.dot(sizes, variances))
     return ClusterStats(centroids=centroids, sizes=sizes, variances=variances, cost=cost)
@@ -392,7 +392,8 @@ def measure_gap(data: Dataset, partition: Partition) -> float:
     sq = _centroid_sq_dists(centroids)
     reach = np.empty((k, k))
     for a in range(k):
-        pts = data.points[partition.members(a)] - centroids[a]
+        pts = data.points[partition.members(a)]
+        pts -= centroids[a]
         reach[a] = (pts @ (centroids - centroids[a]).T).max(axis=0)
     off = ~np.eye(k, dtype=bool)
     alpha = np.clip(2.0 * reach[off] / sq[off], 0.0, 1.0)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from jlkit import kmeans
@@ -20,3 +22,20 @@ def oracle_calls(monkeypatch):
 
     monkeypatch.setattr(kmeans, "brute_force_optimum_sq_dists", counted)
     return calls
+
+
+@pytest.fixture
+def traced_peak():
+    """Return a function that calls ``fn()`` under ``tracemalloc``.
+
+    It returns ``(result, peak)``, the peak being the most bytes traced at
+    once during the call.
+    """
+    def run(fn):
+        tracemalloc.start()
+        try:
+            return fn(), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    return run

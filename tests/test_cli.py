@@ -6,7 +6,6 @@ import resource
 import struct
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -148,20 +147,15 @@ class TestPipeline:
         with open(hist_path, newline="") as fh:
             assert next(csv.reader(fh)) == ["bin_lo", "bin_hi", "count"]
 
-    def test_oversized_operator_exit_2(self, capsys, tmp_path, monkeypatch):
+    def test_oversized_operator_exit_2(self, capsys, tmp_path, monkeypatch, traced_peak):
         # The 100000 x 200000 operator is 149 GiB: refused before the draw.
         # The budget is shrunk to 1 GiB so that the refusal does not depend
         # on the machine's memory.
         monkeypatch.setattr(errors, "_PHYSICAL_BYTES", 2**30)
         data_path = str(tmp_path / "wide.bin")
         save_dataset(Dataset(points=np.ones((2, 200_000))), data_path)
-        tracemalloc.start()
-        try:
-            code, _, err = run(capsys, "project", "--input", data_path, "--out", str(tmp_path / "proj.bin"),
-                               "--nprime", "100000")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        (code, _, err), peak = traced_peak(lambda: run(
+            capsys, "project", "--input", data_path, "--out", str(tmp_path / "proj.bin"), "--nprime", "100000"))
         assert code == 2
         assert f"{8 * 100_000 * 200_000} bytes" in err
         assert peak < 2**26
@@ -398,7 +392,7 @@ class TestPipeline:
         assert code == 2
         assert err.startswith("error: trials")
 
-    def test_verify_oversized_pairwise_distances_exit_2(self, capsys, tmp_path, monkeypatch):
+    def test_verify_oversized_pairwise_distances_exit_2(self, capsys, tmp_path, monkeypatch, traced_peak):
         # 3000 points have 4,498,500 pairs, 35,988,000 bytes of squared
         # distances: refused against a 16 MiB budget before they are allocated.
         monkeypatch.setattr(errors, "_PHYSICAL_BYTES", 2**24)
@@ -406,22 +400,29 @@ class TestPipeline:
         data = Dataset(points=np.random.default_rng(5).standard_normal((3000, 3)))
         save_dataset(data, a)
         save_dataset(Dataset(points=data.points[:, :2]), b)
-        tracemalloc.start()
-        try:
-            code, _, err = run(capsys, "verify", "--original", a, "--projected", b, "--delta", "0.3")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        (code, _, err), peak = traced_peak(lambda: run(capsys, "verify", "--original", a, "--projected", b,
+                                                       "--delta", "0.3"))
         assert code == 2
         assert f"{8 * 3000 * 2999 // 2} bytes" in err
         assert peak < 2**21
+
+    def test_gen_oversized_dataset_exit_2(self, capsys, tmp_path, monkeypatch, traced_peak):
+        # 40,000 x 100 points take 64,000,000 bytes: refused against a 16 MiB
+        # budget before any draw, where generating them would peak near 128 MB.
+        monkeypatch.setattr(errors, "_PHYSICAL_BYTES", 2**24)
+        (code, _, err), peak = traced_peak(lambda: run(
+            capsys, "gen", "--k", "2", "--sizes", "20000,20000", "--dim", "100", "--out", str(tmp_path / "g.bin")))
+        assert code == 2
+        assert f"{8 * 40_000 * 100} bytes" in err
+        assert peak < 64 * 2**20
+        assert not (tmp_path / "g.bin").exists()
 
     @pytest.mark.parametrize("command", ["verify", "gen"])
     def test_failed_allocation_exit_2(self, tmp_path, command):
         # Under a 3 GB address-space limit, set in the child only: verify's
         # 3.35 GiB of distances for 30,000 points pass the physical-memory
-        # check on any machine of 4 GB or more, and gen's 373 GiB mixture is
-        # not checked at all; numpy's MemoryError names the size.
+        # check on any machine of 4 GB or more, and numpy's MemoryError names
+        # the size; gen's 745 GiB mixture is refused by its own size check.
         a = str(tmp_path / "a.bin")
         save_dataset(Dataset(points=np.random.default_rng(5).standard_normal((30_000, 3))), a)
         argv = {"verify": ["verify", "--original", a, "--projected", a, "--delta", "0.3"],
@@ -438,7 +439,7 @@ class TestPipeline:
         assert "GiB" in proc.stderr and "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: ")
 
-    def test_verify_estimate_holds_one_set_of_distances(self, capsys, tmp_path):
+    def test_verify_estimate_holds_one_set_of_distances(self, capsys, tmp_path, traced_peak):
         # The report is dropped before the trials build their own original
         # distances, so the estimate adds at most one projection to the peak.
         a, b = str(tmp_path / "a.bin"), str(tmp_path / "b.bin")
@@ -447,12 +448,9 @@ class TestPipeline:
         save_dataset(project(build_operator(300, 200, seed=1), data), b)
 
         def peak(*extra):
-            tracemalloc.start()
-            try:
-                code, _, _ = run(capsys, "verify", "--original", a, "--projected", b, "--delta", "0.3", *extra)
-                return code, tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            (code, _, _), traced = traced_peak(lambda: run(
+                capsys, "verify", "--original", a, "--projected", b, "--delta", "0.3", *extra))
+            return code, traced
 
         (code, alone), (code_est, with_est) = peak(), peak("--estimate-trials", "2")
         assert code == code_est == 0

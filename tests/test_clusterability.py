@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -342,18 +341,13 @@ class TestPerturbationRobustness:
             assert check_perturbation_robustness(data, 3, 0.1, trials=30, seed=100 + t) is expected
             assert oracle_calls[0] == 1
 
-    def test_every_partition_a_rival_copies_no_mask_table(self):
+    def test_every_partition_a_rival_copies_no_mask_table(self, traced_peak):
         # At (12, 6) and s = 0.1 every one of the 1,323,652 partitions is a
         # rival: their costs take 10.1 MiB at set-up, and no mask table is
         # built.  Measured cold, the factor tables built while tracing.
         data = Dataset(points=np.random.default_rng(0).standard_normal((12, 3)))
         oracle._factors.cache_clear()
-        tracemalloc.start()
-        try:
-            check_perturbation_robustness(data, 6, 0.1, trials=2, seed=0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: check_perturbation_robustness(data, 6, 0.1, trials=2, seed=0))
         assert peak < 16 * 2**20
 
     def test_s_whose_powers_underflow(self):

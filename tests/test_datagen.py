@@ -1,3 +1,6 @@
+import hashlib
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -90,6 +93,46 @@ class TestGenerate:
                                         centre_distance=distance, sizes=(100, 100), seed=2))
         stats = cluster_stats(data, part)
         assert pair_balance(stats) <= 1.0
+
+    # Computed before the sampler wrote into its output; "several rounds" takes
+    # three rejection rounds for its second cluster, "retried" three attempts.
+    @pytest.mark.parametrize("overrides, sha1", [
+        (dict(k=4, sizes=(3, 5, 2, 7), dim=9, centre_distance=4.0, cluster_sigma=0.0, seed=1),
+         "1723354df0405517fd83dbc70e8429aa92b99b8b"),
+        (dict(k=1, sizes=(40,), dim=7, centre_distance=1.0, cluster_sigma=0.5, seed=3),
+         "faac6b0690e24484e486ae761cf842cc07cfd98d"),
+        (dict(k=4, sizes=(10, 300, 7, 50), dim=5, centre_distance=3.0, target_gap=1.6, seed=5),
+         "8791446a1ec8a1e1a00d7be13f68fd21d7288244"),
+        (dict(sizes=(1000, 1000), dim=200, cluster_sigma=2.0, target_gap=0.02, seed=1),
+         "744c2bb85297c89e21d2d5c75a40d1c28cc290f7"),
+    ], ids=["sigma zero", "one cluster", "several rounds", "retried"])
+    def test_pinned_output(self, overrides, sha1):
+        data, part = generate(spec_with(**overrides))
+        assert hashlib.sha1(data.points.tobytes() + part.assignments.tobytes()).hexdigest() == sha1
+
+    @pytest.mark.parametrize("overrides", [
+        dict(k=3, sizes=(200, 200, 100), dim=2000, centre_distance=20.0, cluster_sigma=1.5, target_gap=0.5, seed=42),
+        dict(k=4, sizes=(1000, 500, 2000, 1500), dim=300, cluster_sigma=0.5, seed=2),
+    ])
+    def test_peak_is_the_dataset_and_two_rounds(self, overrides, traced_peak):
+        # Each cluster's sampler writes into the one output; a round holds
+        # its draw and the rows it keeps.  Stacking the rounds and then the
+        # clusters peaked at 3.0x the dataset.
+        spec = spec_with(**overrides)
+        generate(spec_with())
+        (data, _), peak = traced_peak(lambda: generate(spec))
+        round_bytes = 8 * max(*spec.sizes, 128) * spec.dim
+        assert peak <= data.points.nbytes + 2 * round_bytes + 2**20
+
+    def test_failed_attempt_freed_before_the_next(self, traced_peak):
+        # Seeds 1 and 2 of this spread are not Lloyd fixed points, so seed 1
+        # returns seed 3's draw after two failed attempts.  Kept alive, the
+        # last failed dataset would add its own 3 MiB to the peak.
+        spec = spec_with(sizes=(1000, 1000), dim=200, cluster_sigma=2.0, target_gap=0.02, seed=1)
+        generate(spec_with())
+        (data, _), peak = traced_peak(lambda: generate(spec))
+        assert np.array_equal(data.points, generate(replace(spec, seed=3))[0].points)
+        assert peak <= data.points.nbytes + 2 * 8 * 1000 * 200 + 2**20
 
     def test_validation(self):
         with pytest.raises(DomainError):

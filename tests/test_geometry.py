@@ -1,6 +1,5 @@
 import csv
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -76,6 +75,33 @@ class TestSqDistsTo:
         base = sq_dists_to(pts, centres)
         shifted = sq_dists_to(pts + 1e7, centres + 1e7)
         np.testing.assert_allclose(shifted, base, rtol=1e-6)
+
+    # (m, d) at the edges of the row chunks: one row; a chunk's row count
+    # (2^15 // d) less one, itself and plus one; d over 8192, where einsum sums
+    # a single row in pieces, with a lone last row (10000 -> 3 rows a chunk,
+    # 40000 -> 2); d = 1.
+    @pytest.mark.parametrize("m, d", [(1, 5), (4095, 8), (4096, 8), (4097, 8), (8193, 8), (1, 40000),
+                                      (3, 40000), (5, 40000), (4, 10000), (7, 10000), (32769, 1)])
+    @pytest.mark.parametrize("offset", [0.0, 1e5])
+    def test_bitwise_the_whole_array_difference(self, m, d, offset):
+        rng = np.random.default_rng(m + d)
+        pts, centres = rng.standard_normal((m, d)) + offset, rng.standard_normal((3, d)) + offset
+        centres[1] = pts[-1]
+        expected = np.empty((m, 3))
+        for j, centre in enumerate(centres):
+            diff = pts - centre
+            expected[:, j] = np.einsum("ij,ij->i", diff, diff)
+        sq = sq_dists_to(pts, centres)
+        assert sq.tobytes() == expected.tobytes()
+        assert sq[-1, 1] == 0.0
+
+    def test_transient_is_one_chunk(self, traced_peak):
+        # The whole-array difference took one m x d temporary per centre,
+        # 61.6 MiB here.
+        pts, centres = np.random.default_rng(3).standard_normal((20_000, 200)), np.zeros((3, 200))
+        sq_dists_to(pts[:10], centres)
+        sq, peak = traced_peak(lambda: sq_dists_to(pts, centres))
+        assert peak <= sq.nbytes + 2**20
 
 
 class TestSqDistMatrix:
@@ -330,7 +356,7 @@ class TestBlockKernel:
         assert report.violations == int(np.sum(copies[i] * copies[j] * outside)) == 8
 
 
-    def test_transient_peak_is_under_two_gram_blocks(self):
+    def test_transient_peak_is_under_two_gram_blocks(self, traced_peak):
         # Beyond its output, each call holds one 8 x block x m Gram block at
         # a time and a few rows of scratch.
         m = 3000
@@ -338,12 +364,7 @@ class TestBlockKernel:
         proj = project(build_operator(300, 100, seed=1), data)
         block, out = 8 * geometry._BLOCK * m, 8 * (m * (m - 1) // 2)
         for call in (lambda: pairwise_sq_dists(data.points), lambda: distortion_report(data, proj, 0.3)):
-            tracemalloc.start()
-            try:
-                call()
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            _, peak = traced_peak(call)
             assert peak - out <= 2 * block
 
 
@@ -421,7 +442,7 @@ class TestCancellation:
         expected = sq_dist_matrix(pts)[np.triu_indices(600, 1)]
         np.testing.assert_allclose(pairwise_sq_dists(pts), expected, rtol=1e-12)
 
-    def test_recomputation_needs_only_block_sized_temporaries(self):
+    def test_recomputation_needs_only_block_sized_temporaries(self, traced_peak):
         # Every pair of the translated data is recomputed; beyond what the
         # unshifted data need, that may take the re-expansion's own arrays:
         # two block x d differences and four block x block floats.
@@ -429,12 +450,7 @@ class TestCancellation:
         pts = np.random.default_rng(5).standard_normal((m, d)) * 0.01
 
         def peak(points):
-            tracemalloc.start()
-            try:
-                pairwise_sq_dists(points)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            return traced_peak(lambda: pairwise_sq_dists(points))[1]
 
         extra = peak(pts + 1e5) - peak(pts)
         assert extra <= 8 * geometry._BLOCK * (2 * d + 4 * geometry._BLOCK)

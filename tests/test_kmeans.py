@@ -3,7 +3,6 @@ import functools
 import gc
 import itertools
 import math
-import tracemalloc
 import weakref
 from fractions import Fraction
 
@@ -227,18 +226,13 @@ class TestClusterStatsAccuracy:
         self.check(points, labels, 5)
         self.check(points + 1e7, labels, 5)
 
-    def test_indicator_memory_is_bounded(self):
+    def test_indicator_memory_is_bounded(self, traced_peak):
         # A dense 50 x 200,000 float64 indicator alone would take 76 MiB
         # for 3 MiB of points.
         rng = np.random.default_rng(16)
         points, labels = rng.standard_normal((200_000, 2)), self.random_labels(rng, 200_000, 50)
         data, partition = Dataset(points=points), Partition(assignments=labels, k=50)
-        tracemalloc.start()
-        try:
-            stats = cluster_stats(data, partition)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        stats, peak = traced_peak(lambda: cluster_stats(data, partition))
         assert peak < 32 << 20
         ref = direct_costs(points, labels, 50)
         np.testing.assert_allclose(stats.sizes * stats.variances, ref, rtol=1e-12, atol=0.0)
@@ -515,19 +509,14 @@ class TestPartitionTableMemory:
         assert oracle._partitions_at(factors, np.arange(3)).dtype == np.uint16
 
     @pytest.mark.parametrize("m, k, bound_mib", [(14, 3, 1), (12, 6, 2)])
-    def test_cold_build_peak(self, m, k, bound_mib):
+    def test_cold_build_peak(self, m, k, bound_mib, traced_peak):
         # The factor tables peak at 0.3 and 1.2 MiB; the full partition
         # tables they replace took 4.5 and 15.1 MiB.
         oracle._factors.cache_clear()
-        tracemalloc.start()
-        try:
-            oracle._factors(m, k)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: oracle._factors(m, k))
         assert peak < bound_mib * 2**20
 
-    def test_cold_oracle_call_builds_no_partition_table(self):
+    def test_cold_oracle_call_builds_no_partition_table(self, traced_peak):
         # The 5/5/4 mixture of the oracle-14 benchmark; a table of all
         # S(14, 3) = 788,970 partitions would take 4.5 MiB.
         data, _ = generate(MixtureSpec(k=3, sizes=(5, 5, 4), dim=500, centre_distance=10.0,
@@ -535,12 +524,7 @@ class TestPartitionTableMemory:
         sq = sq_dist_matrix(data.points)
         oracle._factors.cache_clear()
         oracle._subset_table.cache_clear()
-        tracemalloc.start()
-        try:
-            brute_force_optimum_sq_dists(sq, 3)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: brute_force_optimum_sq_dists(sq, 3))
         assert peak < 2 * 2**20
 
 
@@ -696,29 +680,25 @@ class TestPruning:
 
 
 class TestOracleLimits:
-    def test_size_checked_before_distance_matrix(self):
+    def test_size_checked_before_distance_matrix(self, traced_peak):
         # 4000 x 4000 float64 distances would take 122 MiB.
         data = Dataset(points=np.random.default_rng(0).standard_normal((4000, 20)))
-        tracemalloc.start()
-        try:
+        def refused():
             with pytest.raises(DomainError):
                 brute_force_optimum(data, 2)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+
+        _, peak = traced_peak(refused)
         assert peak < 1 << 20
 
     @pytest.mark.parametrize("m, k", [(14, 4), (14, 6), (14, 9), (13, 5)])
-    def test_partition_cap_raises_before_allocation(self, m, k):
+    def test_partition_cap_raises_before_allocation(self, m, k, traced_peak):
         assert stirling2(m, k) > oracle.PARTITION_CAP
         sq = np.zeros((m, m))
-        tracemalloc.start()
-        try:
+        def refused():
             with pytest.raises(DomainError, match="partitions"):
                 brute_force_optimum_sq_dists(sq, k)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+
+        _, peak = traced_peak(refused)
         assert peak < 1 << 20
 
     def test_cap_admits_every_m_up_to_12_and_14_3(self):

@@ -2,7 +2,6 @@ import dataclasses
 import os
 import struct
 import threading
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -75,14 +74,9 @@ class TestBuildOperator:
         expected = rows / np.linalg.norm(rows, axis=1, keepdims=True)
         assert build_operator(n, n_prime, seed=11).rows.tobytes() == expected.tobytes()
 
-    def test_peak_is_the_operator_and_one_buffer(self):
+    def test_peak_is_the_operator_and_one_buffer(self, traced_peak):
         build_operator(40, 10, seed=0)  # the first call's one-off allocations are not the draw's
-        tracemalloc.start()
-        try:
-            op = build_operator(2000, 783, seed=0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        op, peak = traced_peak(lambda: build_operator(2000, 783, seed=0))
         assert peak <= op.rows.nbytes + 2**20
 
     def test_refused_before_the_draw_beyond_physical_memory(self, monkeypatch):
