@@ -175,8 +175,9 @@ def sq_dists_to(points: np.ndarray, centres: np.ndarray) -> np.ndarray:
     exactly 0, and a common translation moves nothing but its own rounding.
     The points are taken ``_CHUNK`` entries' worth of rows at a time, each
     chunk differenced against every centre in one reused buffer, so beyond
-    the output the transient is 256 KiB, and each row's value is the same
-    difference and sum whatever the chunking.
+    the output the transient is 256 KiB (two rows where a row is longer),
+    and each row's value is the same difference and sum whatever the
+    chunking.
     """
     m, d = points.shape
     out = np.empty((m, len(centres)))

@@ -683,6 +683,7 @@ class TestOracleLimits:
     def test_size_checked_before_distance_matrix(self, traced_peak):
         # 4000 x 4000 float64 distances would take 122 MiB.
         data = Dataset(points=np.random.default_rng(0).standard_normal((4000, 20)))
+
         def refused():
             with pytest.raises(DomainError):
                 brute_force_optimum(data, 2)
@@ -694,6 +695,7 @@ class TestOracleLimits:
     def test_partition_cap_raises_before_allocation(self, m, k, traced_peak):
         assert stirling2(m, k) > oracle.PARTITION_CAP
         sq = np.zeros((m, m))
+
         def refused():
             with pytest.raises(DomainError, match="partitions"):
                 brute_force_optimum_sq_dists(sq, k)
