@@ -19,7 +19,7 @@ import numpy as np
 
 from . import clusterability as clus
 from . import datagen, dimension, geometry, kmeans, reproduce
-from .errors import DomainError, JlkitError
+from .errors import DomainError, JlkitError, check_bytes
 from .projection import (Dataset, build_operator, load_dataset, project, read_operator, save_dataset,
                          save_operator)
 
@@ -172,6 +172,9 @@ def _cmd_kmeans_compare(args) -> int:
     if args.partitions < 0:
         raise DomainError(f"--partitions must be >= 0, got {args.partitions}")
     data, n_prime, orthonormal = _load_input("kmeans-compare", args)
+    # Each partition's assignments and original-space centroids, kept through the trials.
+    check_bytes(8 * (args.partitions + 1) * (data.m + args.k * data.dim),
+                f"a run of {args.partitions + 1} partitions of {data.m} points")
     lloyd_partition, lloyd_stats = kmeans.lloyd(data, args.k, init=args.seed)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=args.seed, spawn_key=(1,)))
     partitions = [lloyd_partition] + [
@@ -316,7 +319,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (JlkitError, MemoryError) as err:  # numpy's MemoryError names the size it could not get
-        print(f"error: {err}", file=sys.stderr)
+        print(f"error: {str(err) or type(err).__name__}", file=sys.stderr)
         return 2
     except OSError as err:
         print(f"i/o error: {err}", file=sys.stderr)

@@ -100,15 +100,16 @@ def generate(spec: MixtureSpec) -> tuple[Dataset, Partition]:
 
     Deterministic in spec.seed.  When the spread is positive the
     ground-truth partition is additionally required to be a Lloyd fixed
-    point of the generated data; failing draws are regenerated with an
-    incremented seed, up to 10 attempts, each freed before the next.  The
+    point of the generated data; a failing draw is freed and redrawn, up to
+    10 attempts, attempt a > 0 from streams of its own (spawn key (j, a) of
+    spec.seed for cluster j), so no two seeds draw from the same streams.  The
     8 m dim bytes of the points are checked against physical memory before
     any draw; each cluster's sampler writes its rows into the one output,
     so the peak is the dataset plus two of its largest rejection rounds.
     """
     check_bytes(8 * spec.m * spec.dim, f"the generated dataset of {spec.m} x {spec.dim} points")
     for attempt in range(_MAX_FIXED_POINT_ATTEMPTS):
-        data, partition = _generate_once(spec, spec.seed + attempt)
+        data, partition = _generate_once(spec, attempt)
         if spec.cluster_sigma == 0.0 or spec.k == 1 or is_lloyd_fixed_point(data, partition):
             return data, partition
         del data, partition  # freed before the next attempt is drawn
@@ -118,7 +119,7 @@ def generate(spec: MixtureSpec) -> tuple[Dataset, Partition]:
     )
 
 
-def _generate_once(spec: MixtureSpec, seed: int) -> tuple[Dataset, Partition]:
+def _generate_once(spec: MixtureSpec, attempt: int) -> tuple[Dataset, Partition]:
     centroids = _simplex_centroids(spec.k, spec.dim, spec.centre_distance)
     alpha = 1.0 - spec.target_gap / 2.0
     half = spec.centre_distance / 2.0
@@ -127,7 +128,8 @@ def _generate_once(spec: MixtureSpec, seed: int) -> tuple[Dataset, Partition]:
         if spec.cluster_sigma == 0.0:
             rows[:] = centroids[j]
             continue
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(j,)))
+        key = (j, attempt) if attempt else (j,)  # the first attempt keeps its original stream
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=spec.seed, spawn_key=key))
         dirs = np.delete(centroids, j, axis=0) - centroids[j]
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         _sample_cluster(rng, centroids[j], dirs, alpha * half, spec.cluster_sigma, rows)

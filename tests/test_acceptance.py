@@ -30,16 +30,8 @@ from jlkit.kmeans import (
 )
 from jlkit.projection import Dataset, projections
 from jlkit.reproduce import reproduce
-from tests.test_dimension import mp_pair_bound
-from tests.test_reproduce import (
-    REF_TABLE1,
-    REF_TABLE2,
-    REF_TABLE3,
-    REF_TABLE4,
-    REF_TABLE5,
-    REF_TABLE6_REPS,
-    REF_TABLE7_DG,
-)
+from tests.reference import (REF_TABLE1, REF_TABLE2, REF_TABLE3, REF_TABLE4, REF_TABLE5, REF_TABLE6_REPS,
+                             REF_TABLE7_DG, mp_pair_bound)
 
 
 def report(name, ok, detail):

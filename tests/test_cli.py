@@ -12,14 +12,14 @@ import numpy as np
 import pytest
 
 import jlkit
-from jlkit import errors, kmeans, projection
+from jlkit import dimension, errors, kmeans, projection
 from jlkit.cli import main
 from jlkit.clusterability import measure_sigma_separatedness
 from jlkit.dimension import explicit_dimension, implicit_dimension
+from jlkit.errors import DomainError
 from jlkit.geometry import estimate_failure_rate
 from jlkit.projection import Dataset, build_operator, load_dataset, project, read_operator, save_dataset
-from tests.test_dimension import mp_pair_bound
-from tests.test_kmeans import shifted_mixture
+from tests.reference import mp_pair_bound, shifted_mixture
 
 
 def run(capsys, *argv):
@@ -439,6 +439,16 @@ class TestPipeline:
         assert "GiB" in proc.stderr and "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: ")
 
+    @pytest.mark.parametrize("error", [MemoryError(), DomainError()], ids=["MemoryError", "DomainError"])
+    def test_empty_error_message_names_its_type(self, capsys, monkeypatch, error):
+        def fail(*args):
+            raise error
+
+        monkeypatch.setattr(dimension, "explicit_dimension", fail)
+        code, _, err = run(capsys, "dim", "--m", "10", "--epsilon", "0.1", "--delta", "0.2")
+        assert code == 2
+        assert err == f"error: {type(error).__name__}\n"
+
     def test_verify_estimate_holds_one_set_of_distances(self, capsys, tmp_path, traced_peak):
         # The report is dropped before the trials build their own original
         # distances, so the estimate adds at most one projection to the peak.
@@ -506,6 +516,20 @@ class TestKmeansCompare:
         )
         assert code == 2
         assert err.startswith("error: --partitions must be >= 0")
+
+    def test_oversized_partitions_exit_2(self, capsys, tmp_path, monkeypatch, traced_peak):
+        # 100,000,001 partitions of 40 points in 50 dimensions keep 8 m bytes
+        # of assignments and 8 k n of centroids each: refused against a 16 MiB
+        # budget before Lloyd runs or any partition is drawn.
+        monkeypatch.setattr(errors, "_PHYSICAL_BYTES", 2**24)
+        data_path = str(tmp_path / "d.bin")
+        save_dataset(Dataset(points=np.random.default_rng(5).standard_normal((40, 50))), data_path)
+        (code, _, err), peak = traced_peak(lambda: run(
+            capsys, "kmeans-compare", "--input", data_path, "--k", "2", "--delta", "0.3",
+            "--nprime", "20", "--partitions", "100000000"))
+        assert code == 2
+        assert f"{8 * 100_000_001 * (40 + 2 * 50)} bytes" in err
+        assert peak < 2**20
 
     def test_n_aware_route_draws_orthonormal_rows(self, capsys, tmp_path):
         # The pipeline instance: the n-aware n' = 299 with normalized rows

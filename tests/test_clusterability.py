@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from jlkit import clusterability, kmeans, oracle
+from jlkit import clusterability, kmeans
 from jlkit.clusterability import (
     ClusterabilityParams,
     check_perturbation_robustness,
@@ -22,6 +22,7 @@ from jlkit.errors import DegenerateDataError, DomainError
 from jlkit.geometry import sq_dist_matrix
 from jlkit.kmeans import Partition, brute_force_optimum, brute_force_optimum_sq_dists
 from jlkit.projection import Dataset, build_operator, project
+from tests.reference import evict_oracle_tables
 
 
 def line_dataset(*coords):
@@ -346,7 +347,7 @@ class TestPerturbationRobustness:
         # rival: their costs take 10.1 MiB at set-up, and no mask table is
         # built.  Measured cold, the factor tables built while tracing.
         data = Dataset(points=np.random.default_rng(0).standard_normal((12, 3)))
-        oracle._factors.cache_clear()
+        evict_oracle_tables()
         _, peak = traced_peak(lambda: check_perturbation_robustness(data, 6, 0.1, trials=2, seed=0))
         assert peak < 16 * 2**20
 

@@ -4,7 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from jlkit.datagen import MixtureSpec, _simplex_centroids, generate
+from jlkit import datagen
+from jlkit.datagen import MixtureSpec, generate
 from jlkit.errors import DomainError, InfeasibleError
 from jlkit.kmeans import cluster_stats, is_lloyd_fixed_point, measure_gap, pair_balance
 
@@ -17,20 +18,26 @@ def spec_with(**overrides):
 
 
 class TestSimplexCentroids:
+    @staticmethod
+    def centroids(k, dim, distance):
+        # With no spread, one point per cluster sits on its centroid.
+        data, _ = generate(spec_with(k=k, sizes=(1,) * k, dim=dim, centre_distance=distance, cluster_sigma=0.0))
+        return data.points
+
     @pytest.mark.parametrize("k,dim", [(2, 1), (3, 2), (4, 3), (5, 12)])
     def test_equidistant(self, k, dim):
-        c = _simplex_centroids(k, dim, 7.0)
+        c = self.centroids(k, dim, 7.0)
         assert c.shape == (k, dim)
         for i in range(k):
             for j in range(i + 1, k):
                 assert np.linalg.norm(c[i] - c[j]) == pytest.approx(7.0, rel=1e-9)
 
     def test_needs_enough_dims(self):
-        with pytest.raises(Exception):
-            _simplex_centroids(4, 2, 1.0)
+        with pytest.raises(DomainError):
+            self.centroids(4, 2, 1.0)
 
     def test_single_centroid(self):
-        assert np.array_equal(_simplex_centroids(1, 5, 3.0), np.zeros((1, 5)))
+        assert np.array_equal(self.centroids(1, 5, 3.0), np.zeros((1, 5)))
 
 
 class TestGenerate:
@@ -94,8 +101,9 @@ class TestGenerate:
         stats = cluster_stats(data, part)
         assert pair_balance(stats) <= 1.0
 
-    # Computed before the sampler wrote into its output; "several rounds" takes
-    # three rejection rounds for its second cluster, "retried" three attempts.
+    # Computed before the sampler wrote into its output, "retried" after each
+    # attempt drew from its own streams; "several rounds" takes three
+    # rejection rounds for its second cluster, "retried" three attempts.
     @pytest.mark.parametrize("overrides, sha1", [
         (dict(k=4, sizes=(3, 5, 2, 7), dim=9, centre_distance=4.0, cluster_sigma=0.0, seed=1),
          "1723354df0405517fd83dbc70e8429aa92b99b8b"),
@@ -104,7 +112,7 @@ class TestGenerate:
         (dict(k=4, sizes=(10, 300, 7, 50), dim=5, centre_distance=3.0, target_gap=1.6, seed=5),
          "8791446a1ec8a1e1a00d7be13f68fd21d7288244"),
         (dict(sizes=(1000, 1000), dim=200, cluster_sigma=2.0, target_gap=0.02, seed=1),
-         "744c2bb85297c89e21d2d5c75a40d1c28cc290f7"),
+         "e64023cdc76c7a2938c1606dc49cde1486fc1320"),
     ], ids=["sigma zero", "one cluster", "several rounds", "retried"])
     def test_pinned_output(self, overrides, sha1):
         data, part = generate(spec_with(**overrides))
@@ -124,15 +132,37 @@ class TestGenerate:
         round_bytes = 8 * max(*spec.sizes, 128) * spec.dim
         assert peak <= data.points.nbytes + 2 * round_bytes + 2**20
 
-    def test_failed_attempt_freed_before_the_next(self, traced_peak):
-        # Seeds 1 and 2 of this spread are not Lloyd fixed points, so seed 1
-        # returns seed 3's draw after two failed attempts.  Kept alive, the
-        # last failed dataset would add its own 3 MiB to the peak.
+    def test_failed_attempt_freed_before_the_next(self, traced_peak, monkeypatch):
+        # Seed 1 of this spread returns its third draw, the first two not
+        # Lloyd fixed points.  Kept alive, the last failed dataset would add
+        # its own 3 MiB to the peak.
+        verdicts = []
+
+        def recorded(data, partition):
+            verdicts.append(is_lloyd_fixed_point(data, partition))
+            return verdicts[-1]
+
+        monkeypatch.setattr(datagen, "is_lloyd_fixed_point", recorded)
         spec = spec_with(sizes=(1000, 1000), dim=200, cluster_sigma=2.0, target_gap=0.02, seed=1)
         generate(spec_with())
+        verdicts.clear()
         (data, _), peak = traced_peak(lambda: generate(spec))
-        assert np.array_equal(data.points, generate(replace(spec, seed=3))[0].points)
+        assert verdicts == [False, False, True]
         assert peak <= data.points.nbytes + 2 * 8 * 1000 * 200 + 2**20
+
+    def test_distinct_seeds_give_distinct_datasets(self):
+        # About one draw in three of this spread is a Lloyd fixed point.  Each
+        # retry draws from streams of its own, so no two seeds share a
+        # dataset; retried from seed + attempt, seeds 0-9 gave five.  Seed 7
+        # fails all ten of its attempts.
+        spec = spec_with(sizes=(1000, 1000), dim=200, cluster_sigma=2.0, target_gap=0.02)
+        digests = []
+        for seed in range(10):
+            try:
+                digests.append(hashlib.sha1(generate(replace(spec, seed=seed))[0].points.tobytes()).hexdigest())
+            except InfeasibleError:
+                assert seed == 7
+        assert len(set(digests)) == len(digests) == 9
 
     def test_validation(self):
         with pytest.raises(DomainError):

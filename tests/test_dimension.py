@@ -6,7 +6,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from jlkit.cli import main
 from jlkit.dimension import (
-    _log_pair_failure_bound,
     denominator,
     dg_n_prime,
     dg_repetitions,
@@ -19,18 +18,7 @@ from jlkit.dimension import (
 from jlkit.errors import DomainError, InfeasibleError
 from jlkit.projection import Dataset, save_dataset
 from jlkit.reproduce import reproduce
-
-
-def mp_pair_bound(n_prime, n, delta):
-    """Independent high-precision evaluation of the two-tail bound."""
-    from mpmath import mp, mpf
-
-    mp.dps = 60
-    d, npr, nn = mpf(delta), mpf(n_prime), mpf(n)
-    r = npr * d / (nn - npr)
-    t1 = (1 - d) ** (npr / 2) * (1 + r) ** ((nn - npr) / 2)
-    t2 = (1 + d) ** (npr / 2) * (1 - r) ** ((nn - npr) / 2)
-    return float(t1 + t2)
+from tests.reference import mp_pair_bound
 
 
 def mp_beta_cdf(x, a, b):
@@ -270,7 +258,7 @@ class TestImplicit:
         threshold = math.log(eps) - (math.log(m) + math.log(m - 1) - math.log(2.0))
 
         def satisfied(n_prime):
-            return _log_pair_failure_bound(float(n_prime), float(n), delta) <= threshold
+            return math.log(pair_failure_bound(n_prime, n, delta)) <= threshold
 
         explicit = explicit_dimension(m, eps, delta)
         try:

@@ -1,5 +1,5 @@
 """The package's shape: exported names exist, public functions are used,
-operators are drawn in one place.
+operators are drawn in one place, and the tests go through public surfaces.
 
 Tools that walk ``__all__`` (the benchmark's tracer calls ``getattr`` on
 each entry) break on a stale name left behind by a deletion.
@@ -13,10 +13,20 @@ from pathlib import Path
 import pytest
 
 import jlkit
-from tests.test_readme import claim_map_functions
+from tests.reference import claim_map_functions
 
 SRC = Path(jlkit.__file__).parent
 BENCH = SRC.parent.parent / "bench"
+TESTS = Path(__file__).parent
+# The private names tests may read: each is a seam a test must reach.
+TEST_SEAMS = {
+    ("errors", "_PHYSICAL_BYTES"),  # the memory budget, shrunk so that a refusal needs no large machine
+    ("kmeans", "_optima"),  # the optimum memo, emptied so that oracle calls can be counted
+    ("geometry", "_BLOCK"),  # the pairwise block size, shrunk so that small inputs cross block edges
+    ("geometry", "_CHUNK"),  # the row chunk of sq_dists_to, for the same reason
+    ("oracle", "_group_costs"),  # the pruning seam: the partitions each oracle call costs
+    ("projection", "_OPERATOR_STREAM"),  # the operator's seed stream, to redraw its raw rows
+}
 MODULES = ["jlkit"] + [f"jlkit.{info.name}" for info in pkgutil.iter_modules(jlkit.__path__)]
 
 
@@ -69,21 +79,28 @@ def test_operators_are_built_in_one_place():
 
 
 def _private_reads(path):
-    # (owner, name) of every underscore name the file takes from another module
-    # of the package: imported from it, or read as an attribute of it.
+    # (owner, name) of every underscore name the file takes from a module of
+    # the package, imported relatively or from jlkit: imported from it, read
+    # as an attribute of it, or set on it by setattr(module, "_name", ...).
     tree = ast.parse(path.read_text())
     modules, reads = {}, set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.level == 1:
+        if isinstance(node, ast.ImportFrom) and (node.level == 1 or (node.module or "").split(".")[0] == "jlkit"):
+            owner = (node.module or "").removeprefix("jlkit").lstrip(".")
             for alias in node.names:
-                if node.module is None:
+                if not owner:
                     modules[alias.asname or alias.name] = alias.name
                 elif alias.name.startswith("_"):
-                    reads.add((node.module, alias.name))
+                    reads.add((owner, alias.name))
     for node in ast.walk(tree):
         if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                 and node.value.id in modules and node.attr.startswith("_")):
             reads.add((modules[node.value.id], node.attr))
+        elif (isinstance(node, ast.Call) and len(node.args) > 1
+                and getattr(node.func, "id", getattr(node.func, "attr", None)) == "setattr"
+                and isinstance(node.args[0], ast.Name) and node.args[0].id in modules
+                and isinstance(node.args[1], ast.Constant) and str(node.args[1].value).startswith("_")):
+            reads.add((modules[node.args[0].id], node.args[1].value))
     return reads
 
 
@@ -94,16 +111,24 @@ def test_private_names_read_across_modules():
     assert reads == set()
 
 
-def _package_imports(path):
-    # Every jlkit module the file imports, relatively or by its full name.
+def test_tests_read_only_seams():
+    # A test that reads an internal checks the layout, not the behaviour, and
+    # ties the owner's refactors to itself.
+    reads = {(path.name, owner, name) for path in TESTS.glob("*.py")
+             for owner, name in _private_reads(path) if (owner, name) not in TEST_SEAMS}
+    assert reads == set()
+
+
+def _package_imports(path, package="jlkit"):
+    # Every module of the package the file imports, relatively or by its full name.
     names = set()
     for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.ImportFrom) and node.level == 1:
             names |= {node.module} if node.module else {alias.name for alias in node.names}
-        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("jlkit"):
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == package:
             names |= {node.module.partition(".")[2] or alias.name for alias in node.names}
         elif isinstance(node, ast.Import):
-            names |= {alias.name.partition(".")[2] for alias in node.names if alias.name.startswith("jlkit.")}
+            names |= {alias.name.partition(".")[2] for alias in node.names if alias.name.startswith(f"{package}.")}
     return names
 
 
@@ -111,3 +136,11 @@ def test_oracle_imports_only_errors():
     # The exact oracle is a leaf: its internals can be replaced (by the
     # subset dynamic program, say) without touching another module.
     assert _package_imports(SRC / "oracle.py") == {"errors"}
+
+
+def test_no_test_file_imports_another():
+    # Shared references live in tests/reference.py: a test module imported by
+    # another is collected through it too, and ties the two files together.
+    imports = {(path.name, name) for path in TESTS.glob("*.py")
+               for name in _package_imports(path, "tests") if name.startswith("test_")}
+    assert imports == set()

@@ -1,4 +1,5 @@
 import csv
+import functools
 import math
 
 import numpy as np
@@ -10,7 +11,6 @@ from jlkit.datagen import MixtureSpec, generate
 from jlkit.dimension import implicit_dimension
 from jlkit.errors import DegenerateDataError, DomainError, ShapeError
 from jlkit.geometry import (
-    _wilson_interval,
     distortion_report,
     estimate_failure_rate,
     export_histogram,
@@ -232,9 +232,29 @@ class TestFailureRate:
         assert est.rate <= 0.1 + 3 * math.sqrt(0.1 * 0.9 / 50)
 
 
+SMALL = Dataset(points=np.random.default_rng(3).standard_normal((6, 20)))
+
+
+@functools.cache
+def deviations():
+    # How far each of 50 projections of SMALL to n' = 3 moves its farthest
+    # pair quotient from 1.
+    est = estimate_failure_rate(SMALL, 3, 0.5, 50, 0)
+    return [max(1.0 - lo, hi - 1.0) for lo, hi in est.extremes]
+
+
+def wilson(failures, trials):
+    # The estimate's interval at a delta that fails exactly `failures` of the
+    # first `trials` projections: midway between two neighbouring deviations.
+    worst = [2.0 * max(deviations())] + sorted(deviations()[:trials], reverse=True) + [0.0]
+    est = estimate_failure_rate(SMALL, 3, (worst[failures] + worst[failures + 1]) / 2.0, trials, 0)
+    assert est.failures == failures
+    return est.wilson_interval
+
+
 class TestWilson:
     def test_known_value(self):
-        lo, hi = _wilson_interval(5, 10)
+        lo, hi = wilson(5, 10)
         assert lo == pytest.approx(0.2365, abs=2e-4)
         assert hi == pytest.approx(0.7635, abs=2e-4)
 
@@ -242,7 +262,7 @@ class TestWilson:
     @settings(max_examples=100)
     def test_contains_point_estimate(self, f, t):
         f = min(f, t)
-        lo, hi = _wilson_interval(f, t)
+        lo, hi = wilson(f, t)
         assert 0.0 <= lo <= f / t <= hi <= 1.0
 
 

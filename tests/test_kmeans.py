@@ -1,10 +1,9 @@
 import csv
-import functools
 import gc
 import itertools
 import math
+import tracemalloc
 import weakref
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -33,6 +32,9 @@ from jlkit.kmeans import (
     var_merge,
 )
 from jlkit.projection import Dataset, build_operator, project
+from tests.reference import (ORACLE_CASES, evict_oracle_tables, exact_optimum, laid_out, pruning_matrices,
+                             reference_costs, restricted_growth_strings, rgs_rank, seam_chunks, shifted_mixture,
+                             stirling2)
 
 
 def line_dataset(*coords):
@@ -104,11 +106,13 @@ def direct_costs(points, labels, k):
 
 def per_call_norms_stats(points, labels, k):
     # cluster_stats's cost and centroids as computed when each call took
-    # its own squared norms of the points; the dataset's sq_norms must
-    # leave both unchanged bit for bit.
+    # its own squared norms of the points, the block sums from one product
+    # with the whole indicator; the dataset's sq_norms must leave both
+    # unchanged bit for bit.
     sizes = np.bincount(labels, minlength=k)
+    onehot = (labels == np.arange(k)[:, None]).astype(np.float64)
     with np.errstate(over="ignore", invalid="ignore"):
-        sums, total = kmeans._block_sums(labels, k, points, np.einsum("ij,ij->i", points, points))
+        sums, total = onehot @ points, onehot @ np.einsum("ij,ij->i", points, points)
         centroids = sums / sizes[:, None]
         costs = np.maximum(total - np.einsum("ij,ij->i", sums, centroids), 0.0)
     for j in np.flatnonzero(~(total <= 100.0 * costs)):
@@ -131,12 +135,14 @@ class TestClusterStatsAccuracy:
     # including where the sum-of-squares expansion cancels.
 
     @staticmethod
-    def check(points, labels, k):
+    def check(points, labels, k, one_chunk=True):
         stats = cluster_stats(Dataset(points=points), Partition(assignments=labels, k=k))
         ref = direct_costs(points, labels, k)
         np.testing.assert_allclose(stats.sizes * stats.variances, ref, rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(stats.variances, ref / stats.sizes, rtol=1e-12, atol=0.0)
         assert stats.cost == pytest.approx(ref.sum(), rel=1e-12)
+        if not one_chunk:
+            return stats
         cost, centroids = per_call_norms_stats(points, labels, k)
         assert stats.cost.hex() == cost.hex()
         assert np.array_equal(stats.centroids, centroids)
@@ -216,15 +222,15 @@ class TestClusterStatsAccuracy:
         assert stats.cost == 0.0
         assert np.array_equal(stats.centroids, rows)
 
-    @pytest.mark.parametrize("entries", [5, 64, 1000])
-    def test_chunked_indicator(self, monkeypatch, entries):
-        # At most `entries` indicator entries at once: 1, 12 and 200 of
-        # the 300 rows a chunk for k = 5.
-        monkeypatch.setattr(kmeans, "_INDICATOR_ENTRIES", entries)
+    @pytest.mark.parametrize("k", [5, 64, 1000])
+    def test_chunked_indicator(self, k):
+        # k blocks over 1.5 x 2^21 / k rows: the indicator, 2^21 entries at
+        # most at once, is built in two chunks whose sums are added.
         rng = np.random.default_rng(15)
-        points, labels = rng.standard_normal((300, 20)), self.random_labels(rng, 300, 5)
-        self.check(points, labels, 5)
-        self.check(points + 1e7, labels, 5)
+        m = 3 * 2**20 // k
+        points, labels = rng.standard_normal((m, 2)), self.random_labels(rng, m, k)
+        self.check(points, labels, k, one_chunk=False)
+        self.check(points + 1e7, labels, k, one_chunk=False)
 
     def test_indicator_memory_is_bounded(self, traced_peak):
         # A dense 50 x 200,000 float64 indicator alone would take 76 MiB
@@ -410,15 +416,6 @@ class TestBruteForce:
         assert cost == pytest.approx(stats.cost, rel=1e-9)
 
 
-def stirling2(m, k):
-    # S(m, k) by the recurrence S(m, k) = k S(m-1, k) + S(m-1, k-1).
-    if m == k:
-        return 1
-    if k == 0 or k > m:
-        return 0
-    return k * stirling2(m - 1, k) + stirling2(m - 1, k - 1)
-
-
 def rgs_by_definition(m):
     # Every assignment vector with a[0] = 0 and a[i] <= max(a[:i]) + 1, in
     # lexicographic order, filtered from all of range(1) x ... x range(m).
@@ -428,93 +425,61 @@ def rgs_by_definition(m):
     ]
 
 
-@functools.cache
-def restricted_growth_strings(m):
-    # rgs_by_definition(m), built by extending each string with every label
-    # it admits, in increasing order: Bell(m) strings, not m! candidates.
-    strings = [((), -1)]
-    for _ in range(m):
-        strings = [(labels + (a,), max(top, a)) for labels, top in strings for a in range(top + 2)]
-    return [labels for labels, _ in strings]
-
-
 def test_restricted_growth_strings_match_definition():
     for m in range(8):
         assert restricted_growth_strings(m) == rgs_by_definition(m)
 
 
-def partitions_into(m, k):
-    return [labels for labels in restricted_growth_strings(m) if max(labels) + 1 == k]
+def costed(chunks):
+    # The number of partitions in one oracle call's recorded chunks.
+    return sum(costs.size for _, costs in chunks)
 
 
-def exact_optimum(points, k):
-    # Lexicographically first optimal assignment and its cost, in exact
-    # rational arithmetic over every partition.
-    rows = [[Fraction(float(x)) for x in p] for p in points]
-    sq = [[sum((a - b) ** 2 for a, b in zip(p, q)) for q in rows] for p in rows]
-    best = None
-    for labels in partitions_into(len(rows), k):
-        cost = Fraction(0)
-        for j in range(k):
-            idx = [i for i, a in enumerate(labels) if a == j]
-            cost += Fraction(sum(sq[i][i2] for i, i2 in itertools.combinations(idx, 2)), len(idx))
-        if best is None or cost < best[0]:
-            best = (cost, labels)
-    return best
-
-
-def reference_masks(m, k):
-    # One row of block bitmasks per partition, in restricted growth order.
-    labels = np.array(partitions_into(m, k)).reshape(-1, m)
-    return (labels[:, None, :] == np.arange(k)[:, None]) @ (1 << np.arange(m))
-
-
-def expand(m, k):
-    # Every partition the oracle's factor tables describe, group by group:
-    # prefix q with each completion of its class, as k x S(m, k) bitmasks.
-    prefix, base, length, comps, starts, _ = oracle._factors(m, k)
-    groups = [prefix[:, [q]] | comps[:, base[q]:base[q] + length[q]] << oracle._PREFIX
-              for q in range(prefix.shape[1])]
-    assert np.array_equal(np.diff(starts), [g.shape[1] for g in groups])
-    return np.concatenate(groups, axis=1)
+def cold_calls(*calls):
+    # (bytes still traced, peak) over the (sq, k) optimum calls, made after
+    # the oracle's tables of other sizes were built.
+    evict_oracle_tables()
+    tracemalloc.start()
+    try:
+        for sq, k in calls:
+            oracle.optimum(sq, k)
+        return tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
 
 
 class TestPartitionMasks:
     @pytest.mark.parametrize("m", range(1, 11))
-    def test_matches_restricted_growth_reference(self, m):
+    def test_matches_restricted_growth_reference(self, m, monkeypatch):
+        # An infinite bound prunes no group: laid out by their offsets, the
+        # costs the oracle yields are every partition's once, in RGS order.
         # From m = 9 the completions span one element, from m = 10 two.
-        for k in range(1, m + 1):
-            masks = expand(m, k)
-            assert masks.shape == (k, stirling2(m, k))
-            assert np.array_equal(masks.T, reference_masks(m, k))
-            found = oracle._partitions_at(oracle._factors(m, k), np.arange(masks.shape[1]))
-            assert found.dtype == np.uint16 and np.array_equal(found, masks)
+        # Integer distances make each cost exact, so they match bit for bit.
+        sq = sq_dist_matrix(np.random.default_rng(m).integers(0, 10, size=(m, 3)).astype(float))
+        calls = seam_chunks(monkeypatch)
+        for k, expected in reference_costs(sq).items():
+            assert oracle.count_within(sq, k, math.inf) == stirling2(m, k)
+            assert laid_out(calls[-1]).tobytes() == expected.tobytes()
 
     def test_cache_holds_at_most_four_tables(self):
-        oracle._factors.cache_clear()
-        pairs = [(5, 2), (6, 3), (7, 2), (7, 4), (9, 3)]
-        for m, k in pairs:
-            oracle._factors(m, k)
-        assert oracle._factors.cache_info().currsize <= 4
-        for m, k in pairs:
-            assert np.array_equal(expand(m, k).T, reference_masks(m, k))
+        # After calls at five sizes, no more is held than the tables of the
+        # four largest, each measured alone: 0.4-0.6 MiB a size here.
+        sq = {m: sq_dist_matrix(np.random.default_rng(m).standard_normal((m, 3))) for m in (10, 11, 12)}
+        calls = [(sq[m], k) for m, k in [(12, 6), (11, 6), (12, 5), (11, 5), (10, 5)]]
+        alone = sorted(cold_calls(call)[0] for call in calls)
+        assert cold_calls(*calls)[0] <= sum(alone[1:]) + 2**16
 
 
 class TestPartitionTableMemory:
-    def test_uint16_and_read_only(self):
-        factors = oracle._factors(14, 3)
-        for table in factors:
-            with pytest.raises(ValueError):
-                table[(0,) * table.ndim] = 0
-        assert oracle._partitions_at(factors, np.arange(3)).dtype == np.uint16
-
     @pytest.mark.parametrize("m, k, bound_mib", [(14, 3, 1), (12, 6, 2)])
-    def test_cold_build_peak(self, m, k, bound_mib, traced_peak):
-        # The factor tables peak at 0.3 and 1.2 MiB; the full partition
-        # tables they replace took 4.5 and 15.1 MiB.
-        oracle._factors.cache_clear()
-        _, peak = traced_peak(lambda: oracle._factors(m, k))
-        assert peak < bound_mib * 2**20
+    def test_cold_build_peak(self, m, k, bound_mib):
+        # A cold call peaks below 2 MiB and keeps under bound_mib MiB of tables
+        # (0.3 and 0.6 MiB); all S(m, k) partitions as k uint16 masks each
+        # would take 4.5 and 15.1 MiB.
+        sq = sq_dist_matrix(np.random.default_rng(m).standard_normal((m, 3)))
+        held, peak = cold_calls((sq, k))
+        assert held < bound_mib * 2**20
+        assert peak < 2 * 2**20
 
     def test_cold_oracle_call_builds_no_partition_table(self, traced_peak):
         # The 5/5/4 mixture of the oracle-14 benchmark; a table of all
@@ -522,20 +487,9 @@ class TestPartitionTableMemory:
         data, _ = generate(MixtureSpec(k=3, sizes=(5, 5, 4), dim=500, centre_distance=10.0,
                                        cluster_sigma=0.05, target_gap=1.0, seed=33))
         sq = sq_dist_matrix(data.points)
-        oracle._factors.cache_clear()
-        oracle._subset_table.cache_clear()
+        evict_oracle_tables()
         _, peak = traced_peak(lambda: brute_force_optimum_sq_dists(sq, 3))
         assert peak < 2 * 2**20
-
-
-# Integer coordinates in the tied cases: every pair sum is exact, so tied
-# partitions tie in floating point too and the first one must win.
-ORACLE_CASES = {
-    **{f"random-{m}": np.random.default_rng(100 + m).standard_normal((m, 3)) for m in range(1, 9)},
-    "unit-square": np.array([[0, 0], [1, 0], [0, 1], [1, 1]], dtype=float),
-    "duplicated-points": np.array([[0], [0], [3], [3], [7], [7], [7], [10]], dtype=float),
-    "grid-with-duplicate": np.array([[0, 0], [1, 0], [2, 0], [0, 1], [1, 1], [2, 1], [1, 1]], dtype=float),
-}
 
 
 @pytest.mark.parametrize("case", ORACLE_CASES)
@@ -568,113 +522,68 @@ def test_overflowed_distances_keep_the_exact_optimum(seed, k):
     np.repeat(np.array([[0.0], [1.0], [5.0], [6.0]]), 3, axis=0),
     np.zeros((12, 2)),
 ], ids=["random", "triplicated", "all-equal"])
-def test_chunked_minimum_is_the_first_overall(points, k):
-    # S(12, 3) = 86,526 and S(12, 4) = 611,501 partitions span more than one cost chunk.
+def test_chunked_minimum_is_the_first_overall(points, k, monkeypatch):
+    # S(12, 3) = 86,526 and S(12, 4) = 611,501 partitions: at an infinite
+    # bound they are costed in more than one chunk.  The first cheapest of
+    # them all wins, with the default bound too.
     sq = sq_dist_matrix(points)
-    masks = expand(12, k)
-    assert masks.shape[1] > oracle._COST_CHUNK
-    # At an infinite bound every group is costed, in more than one chunk.
-    assert len(list(oracle._group_costs(oracle._factors(12, k), sq, oracle._block_costs(sq), math.inf))) > 1
-    costs = oracle._block_costs(sq)[masks].sum(axis=0)
-    best = int(np.argmin(costs))
-    expected = np.argmax((masks[:, best, None] >> np.arange(12)) & 1, axis=0)
+    calls = seam_chunks(monkeypatch)
+    full = oracle.optimum(sq, k, math.inf)
+    assert len(calls[-1]) > 1
+    costs = laid_out(calls[-1])
+    first = int(np.argmin(costs))
     part, found = brute_force_optimum_sq_dists(sq, k)
-    assert found == costs[best]
-    assert np.array_equal(part.assignments, expected)
-
-
-def full_scan(sq, k):
-    # The oracle without pruning: the first cheapest partition of every
-    # group, none of which has a lower bound above inf.
-    factors = oracle._factors(sq.shape[0], k)
-    first, cost = oracle._first_minimum(oracle._group_costs(factors, sq, oracle._block_costs(sq), math.inf))
-    masks = oracle._partitions_at(factors, np.array([first]))
-    return np.argmax((masks >> np.arange(sq.shape[0])) & 1, axis=0), cost
-
-
-def pruning_matrices(m, k, seed):
-    # Squared distances of random, clustered, duplicated and integer-tied
-    # points, plus two that are not Euclidean: the random ones under
-    # factors in [1/2, 2], and "hubs", where points 8.. lie at 0.01 from
-    # every point, so each lowers the cost of any block it joins.
-    rng = np.random.default_rng(seed)
-    centres = rng.uniform(0.0, 20.0, size=(k, 4))
-    points = {
-        "random": rng.standard_normal((m, 3)),
-        "clustered": centres[np.arange(m) % k] + 0.1 * rng.standard_normal((m, 4)),
-        "duplicated": rng.standard_normal((m, 2))[np.arange(m) // 2],
-        "integer-tied": rng.integers(0, 3, size=(m, 2)).astype(float),
-    }
-    out = {name: sq_dist_matrix(p) for name, p in points.items()}
-    factors = np.triu(rng.uniform(0.5, 2.0, size=(m, m)), 1)
-    out["perturbed"] = out["random"] * (factors + factors.T + np.eye(m)) ** 2
-    hubs = out["clustered"].copy()
-    hubs[8:, :] = hubs[:, 8:] = 0.01
-    np.fill_diagonal(hubs, 0.0)
-    out["hubs"] = hubs
-    return out
-
-
-def costed_columns(monkeypatch):
-    # The number of partitions each oracle call costs, in call order.
-    real, seen = oracle._group_costs, []
-
-    def counted(*args):
-        seen.append(0)
-        for offsets, costs in real(*args):
-            seen[-1] += costs.size
-            yield offsets, costs
-
-    monkeypatch.setattr(oracle, "_group_costs", counted)
-    return seen
+    for labels, cost in (full, (part.assignments, found)):
+        assert rgs_rank(labels, k) == first
+        assert cost == costs[first]
 
 
 class TestPruning:
     @pytest.mark.parametrize("m", range(9, 15))
     def test_pruned_equals_full_scan(self, m):
+        # An infinite bound prunes no group: that call is the full scan.
         for k in range(1, m + 1):
             if stirling2(m, k) > oracle.PARTITION_CAP:
                 continue
             for name, sq in pruning_matrices(m, k, 100 * m + k).items():
                 part, cost = brute_force_optimum_sq_dists(sq, k)
-                labels, expected = full_scan(sq, k)
+                labels, expected = oracle.optimum(sq, k, math.inf)
                 assert np.array_equal(part.assignments, labels), (k, name)
                 assert cost.hex() == expected.hex(), (k, name)
 
     def test_negative_entry_scans_the_whole_table(self, monkeypatch):
         sq = pruning_matrices(12, 3, 1)["clustered"]
-        seen = costed_columns(monkeypatch)
+        calls = seam_chunks(monkeypatch)
         brute_force_optimum_sq_dists(sq, 3)
-        assert seen[-1] < stirling2(12, 3)
+        assert costed(calls[-1]) < stirling2(12, 3)
         sq[0, 1] = sq[1, 0] = -1e-3
         part, cost = brute_force_optimum_sq_dists(sq, 3)
-        assert seen[-1] == stirling2(12, 3)
-        labels, expected = full_scan(sq, 3)
+        assert costed(calls[-1]) == stirling2(12, 3)
+        labels, expected = oracle.optimum(sq, 3, math.inf)
         assert np.array_equal(part.assignments, labels) and cost == expected
 
     def test_clustered_instance_costs_a_tenth(self, monkeypatch):
         # The 5/5/4 mixture of the oracle-14 benchmark.
         data, _ = generate(MixtureSpec(k=3, sizes=(5, 5, 4), dim=500, centre_distance=10.0,
                                        cluster_sigma=0.05, target_gap=1.0, seed=33))
-        seen = costed_columns(monkeypatch)
+        calls = seam_chunks(monkeypatch)
         brute_force_optimum_sq_dists(sq_dist_matrix(data.points), 3)
-        assert len(seen) == 1 and seen[0] <= stirling2(14, 3) // 10
+        assert len(calls) == 1 and costed(calls[0]) <= stirling2(14, 3) // 10
 
     def test_slack_keeps_a_bound_met_exactly(self):
         # Points 0..6 form one block and point 8 lies at 0 from each of them,
-        # so the optimum {0..6, 8}, {7} costs its group's bound exactly; in
-        # floating point the bound reads one ulp above that cost: the optimum
-        # is the pair sum of 0..6 over 8, exact, and for seed 66 the bound,
-        # 7/8 of that sum over 7, rounds up.
+        # so the optimum {0..6, 8}, {7} costs its group's bound exactly, 7/8
+        # of its prefix block {0..6}'s cost; in floating point, for seed 66,
+        # that bound rounds to one ulp above the optimum.
         sq = np.zeros((9, 9))
         sq[:7, :7] = sq_dist_matrix(np.random.default_rng(66).standard_normal((7, 3)))
         sq[7, :] = sq[:, 7] = 100.0
         sq[7, 7] = 0.0
-        block_cost = oracle._block_costs(sq)
-        optimum = block_cost[0b101111111] + block_cost[0b010000000]
-        assert block_cost[0b001111111] * 7 / 8 + block_cost[0b010000000] / 2 > optimum
+        labels, optimum = oracle.optimum(sq, 2, math.inf)
+        assert np.array_equal(labels, [0, 0, 0, 0, 0, 0, 0, 1, 0])
+        assert oracle.optimum(sq[:7, :7], 1)[1] * 7 / 8 > optimum
         part, cost = brute_force_optimum_sq_dists(sq, 2)
-        assert np.array_equal(part.assignments, [0, 0, 0, 0, 0, 0, 0, 1, 0])
+        assert np.array_equal(part.assignments, labels)
         assert cost == optimum
         assert oracle.count_within(sq, 2, optimum) == 1
 
@@ -788,17 +697,11 @@ class TestOracleMemo:
         assert np.array_equal(first.assignments, second.assignments)
         assert first_stats.cost.hex() == second_stats.cost.hex()
 
-    def test_subset_table_is_shared_and_read_only(self):
-        sizes = oracle._subset_table(5)
-        assert oracle._subset_table(5) is sizes
-        assert not sizes.flags.writeable
-        assert sizes.tolist() == [max(bin(s).count("1"), 1) for s in range(32)]
-
     @pytest.mark.parametrize("kind", ["euclidean", "asymmetric", "integer"])
     def test_block_costs_match_exact_sums(self, kind):
-        # Every subset's half sum of sq over its ordered pairs, diagonal
-        # included, over its size: fsum rounds that sum once, so integer
-        # input (every partial sum exact) matches bit for bit.
+        # The optimum and the count within a bound, against fsum costs per
+        # partition: integer input (every partial sum exact) matches bit for
+        # bit, the rest within m^2 eps.
         for m in range(1, 11):
             rng = np.random.default_rng(m)
             sq = {
@@ -806,15 +709,13 @@ class TestOracleMemo:
                 "asymmetric": rng.uniform(0.0, 5.0, size=(m, m)),
                 "integer": rng.integers(0, 1000, size=(m, m)).astype(float),
             }[kind]
-            expected = np.array([
-                0.5 * math.fsum(sq[i, j] for i in members for j in members) / max(len(members), 1)
-                for members in ([i for i in range(m) if s >> i & 1] for s in range(1 << m))
-            ])
-            found = oracle._block_costs(sq)
-            if kind == "integer":
-                assert found.tobytes() == expected.tobytes()
-            else:
-                assert np.all(np.abs(found - expected) <= m * m * np.finfo(float).eps * expected)
+            tol = 0.0 if kind == "integer" else m * m * np.finfo(float).eps
+            for k, expected in reference_costs(sq).items():
+                _, cost = oracle.optimum(sq, k)
+                assert abs(cost - expected.min()) <= tol * expected.min()
+                for bound in (cost, float(np.median(expected))):
+                    within = [np.count_nonzero(expected <= bound * (1.0 + e)) for e in (-tol, tol)]
+                    assert within[0] <= oracle.count_within(sq, k, bound) <= within[1]
 
 
 class TestVarMerge:
@@ -891,16 +792,6 @@ class TestFixedPoint:
         swapped = good.assignments.copy()
         swapped[0], swapped[20] = 1, 0
         assert not is_lloyd_fixed_point(data, Partition(assignments=swapped, k=2))
-
-
-def shifted_mixture():
-    # Two tight clusters far from the origin: the |x|^2 + |c|^2 - 2 x.c
-    # expansion loses every digit of their distances to rounding there.
-    data, truth = generate(MixtureSpec(
-        k=2, sizes=(20, 20), dim=50, centre_distance=1.0,
-        cluster_sigma=0.05, target_gap=1.0, seed=3,
-    ))
-    return Dataset(points=data.points + 1e7), truth
 
 
 class TestTranslatedData:

@@ -7,16 +7,15 @@ some ``jlkit`` subcommand.  Every function the claim map names is
 exported by its module.
 """
 
-import argparse
 import importlib
 import inspect
 import re
 import shlex
-from pathlib import Path
 
-from jlkit.cli import _build_parser, main
+import pytest
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+from jlkit.cli import main
+from tests.reference import README, claim_map_functions
 
 
 def walkthrough_commands():
@@ -26,11 +25,10 @@ def walkthrough_commands():
     return [shlex.split(line, comments=True)[1:] for line in lines if line.startswith("jlkit ")]
 
 
-def claim_map_functions():
-    """(module, function) for each backticked ``module.function`` in the claim map's functions column."""
-    section = README.read_text().split("### Claim map", 1)[1].split("\n#", 1)[0]
-    rows = [line.split(" | ") for line in section.splitlines() if line.startswith("| ") and "`" in line]
-    return [tuple(name.split(".")) for row in rows for name in re.findall(r"`(\w+\.\w+)`", row[1])]
+def help_text(capsys, *argv):
+    with pytest.raises(SystemExit):
+        main([*argv, "--help"])
+    return capsys.readouterr().out
 
 
 def test_claim_map_names_exported_functions():
@@ -52,9 +50,11 @@ def test_walkthrough_runs(tmp_path, monkeypatch, capsys):
         assert main(argv) == 0, f"jlkit {' '.join(argv)}: {capsys.readouterr().err}"
 
 
-def test_prose_options_exist():
-    subparsers = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    options = {opt for p in subparsers.choices.values() for a in p._actions for opt in a.option_strings}
+def test_prose_options_exist(capsys):
+    # Each subcommand's options, as its --help lists them.
+    commands = re.search(r"\{([a-z,-]+)\}", help_text(capsys)).group(1).split(",")
+    options = {opt for command in commands
+               for opt in re.findall(r"^ +(?:-\w, )?(--[a-z][a-z-]*)", help_text(capsys, command), re.M)}
     prose = re.sub(r"```.*?```", "", README.read_text(), flags=re.S)
     named = set(re.findall(r"`(--[a-z][a-z-]*)`", prose))
     assert named and not named - options, f"README names missing options: {sorted(named - options)}"

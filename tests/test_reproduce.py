@@ -3,7 +3,7 @@
 The explicit column and the repeat-until-success columns reproduce the
 published values exactly.  The published implicit column is not the
 exact boundary of its own inequality C(m,2) * B(n') <= eps: by the
-60-digit oracle in test_dimension, 21 of its 48 refined entries lie below
+60-digit ``mp_pair_bound`` oracle, 21 of its 48 refined entries lie below
 the boundary (insufficient), 24 above it and 3 on it.  The exact boundary
 solver here lands within +-5 of every published entry; criterion 1 in
 test_acceptance measures its +-1 from the oracle's boundary.
@@ -14,51 +14,8 @@ import csv
 import pytest
 
 from jlkit.reproduce import FIGURE_IDS, TABLE_IDS, reproduce, write_csv
-
-# (x, explicit, implicit) published sweep values.
-REF_TABLE1 = [
-    (10, 15226, 14209), (20, 17518, 16389), (50, 20547, 19191), (100, 22839, 21269),
-    (200, 25131, 23323), (500, 28160, 26016), (1000, 30452, 28030), (2000, 32744, 30027),
-    (5000, 35773, 32648), (10_000, 38065, 34609), (20_000, 40357, 36554),
-    (50_000, 43386, 39097), (100_000, 45678, 41017), (200_000, 47970, 42910),
-    (500_000, 50999, 45392), (1_000_000, 53291, 47250), (2_000_000, 55582, 49099),
-    (5_000_000, 58612, 51515), (20_000_000, 63195, 55127), (50_000_000, 66225, 57480),
-    (100_000_000, 68516, 59243),
-]
-REF_TABLE2 = [
-    (0.1, 51776, 46020), (0.05, 52922, 46955), (0.02, 54437, 48180), (0.01, 55582, 49099),
-    (0.005, 56728, 50014), (0.002, 58243, 51221), (0.001, 59389, 52134),
-]
-REF_TABLE3 = [
-    (0.5, 712, 697), (0.4, 1059, 1032), (0.3, 1787, 1745), (0.2, 3804, 3692),
-    (0.1, 14339, 13640), (0.09, 17593, 16631), (0.08, 22128, 20742), (0.07, 28721, 26604),
-    (0.06, 38846, 35329), (0.05, 55582, 49099), (0.04, 86291, 72387), (0.03, 152415, 115298),
-    (0.02, 340701, 201059), (0.01, 1353858, 1353859),
-]
-REF_TABLE4 = [
-    (400_000, 55582, 47891), (500_000, 55582, 49099), (600_000, 55582, 49933),
-    (700_000, 55582, 50551), (800_000, 55582, 51025), (900_000, 55582, 51399),
-    (1_000_000, 55582, 51703),
-]
-# (x, gupta_n_prime, repetitions)
-REF_TABLE5 = [
-    (10, 3879, 44), (20, 5046, 90), (50, 6589, 228), (100, 7757, 459), (200, 8924, 919),
-    (500, 10467, 2301), (1000, 11635, 4603), (2000, 12802, 9209), (5000, 14345, 23024),
-    (10_000, 15513, 46050), (20_000, 16680, 92102), (50_000, 18223, 230257),
-    (100_000, 19391, 460515), (200_000, 20558, 921032), (500_000, 22101, 2302583),
-    (1_000_000, 23269, 4605168), (2_000_000, 24436, 9210339), (5_000_000, 25979, 23025849),
-    (20_000_000, 28314, 92103402), (50_000_000, 29857, 230258508),
-    (100_000_000, 31025, 460517014),
-]
-REF_TABLE6_REPS = [
-    (0.1, 4605170), (0.05, 5991464), (0.02, 7824045), (0.01, 9210339),
-    (0.005, 10596633), (0.002, 12429214), (0.001, 13815508),
-]
-REF_TABLE7_DG = [
-    (0.5, 465), (0.4, 605), (0.3, 922), (0.2, 1814), (0.1, 6449), (0.09, 7874),
-    (0.08, 9857), (0.07, 12736), (0.06, 17150), (0.05, 24436), (0.04, 37783),
-    (0.03, 66478), (0.02, 148048), (0.01, 586209),
-]
+from tests.reference import (REF_TABLE1, REF_TABLE2, REF_TABLE3, REF_TABLE4, REF_TABLE5, REF_TABLE6_REPS,
+                             REF_TABLE7_DG)
 
 
 def rows_by_x(table_id):
