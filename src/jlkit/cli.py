@@ -26,11 +26,10 @@ from .projection import (Dataset, build_operator, load_dataset, project, read_op
 __all__ = ["main"]
 
 
-def _print_config(command: str, args: argparse.Namespace, **extra) -> None:
-    skip = {"func"}
-    fields = {k: v for k, v in sorted(vars(args).items()) if k not in skip and v is not None}
+def _print_config(args: argparse.Namespace, **extra) -> None:
+    fields = {k: v for k, v in sorted(vars(args).items()) if k != "func" and v is not None}
     fields.update(extra)
-    print("config:", command, " ".join(f"{k}={v}" for k, v in fields.items()), flush=True)
+    print("config:", args.command, " ".join(f"{k}={v}" for k, v in fields.items()), flush=True)
 
 
 def _seed(text: str) -> int:
@@ -67,20 +66,20 @@ def _resolve_n_prime(args, m: int, n: int) -> tuple[int, bool]:
     return dimension.implicit_dimension(m, args.epsilon, args.delta, n), True
 
 
-def _load_input(command: str, args) -> tuple[Dataset, int, bool]:
+def _load_input(args) -> tuple[Dataset, int, bool]:
     # --input, its n' and whether that n' takes orthonormal rows; prints the
     # config line.  A given --delta is checked on every route, before any read.
     if args.delta is not None:
         _check_delta(args.delta)
     data = load_dataset(args.input)
     n_prime, orthonormal = _resolve_n_prime(args, m=data.m, n=data.dim)
-    _print_config(command, args, m=data.m, n=data.dim, resolved_nprime=n_prime,
+    _print_config(args, m=data.m, n=data.dim, resolved_nprime=n_prime,
                   operator="orthonormal" if orthonormal else "normalized")
     return data, n_prime, orthonormal
 
 
 def _cmd_dim(args) -> int:
-    _print_config("dim", args)
+    _print_config(args)
     _check_delta(args.delta)
     explicit = dimension.explicit_dimension(args.m, args.epsilon, args.delta)
     print(f"n' explicit: {explicit}")
@@ -95,8 +94,10 @@ def _cmd_dim(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
+    if args.seed is not None and args.id != "fig-distortion":
+        raise DomainError(f"--seed applies only to fig-distortion, not {args.id}")
     out = args.out or f"{args.id}.csv"
-    _print_config("reproduce", args, out=out)
+    _print_config(args, out=out)
     print(reproduce.write_csv(args.id, out, seed=args.seed))
     return 0
 
@@ -110,7 +111,7 @@ def _cmd_gen(args) -> int:
         k=args.k, sizes=sizes, dim=args.dim, centre_distance=args.distance,
         cluster_sigma=args.sigma, target_gap=args.gap, seed=args.seed,
     )
-    _print_config("gen", args, m=spec.m)
+    _print_config(args, m=spec.m)
     data, partition = datagen.generate(spec)
     save_dataset(data, args.out, fmt=args.format)
     print(f"dataset: {data.m} x {data.dim} -> {args.out}")
@@ -123,7 +124,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_project(args) -> int:
-    data, n_prime, orthonormal = _load_input("project", args)
+    data, n_prime, orthonormal = _load_input(args)
     op = build_operator(data.dim, n_prime, args.seed, orthonormalize=orthonormal)
     save_dataset(project(op, data), args.out, fmt=args.format)
     print(f"projected: {data.m} x {n_prime} -> {args.out} (distance scale {op.scale:.6f})")
@@ -144,7 +145,7 @@ def _cmd_verify(args) -> int:
         if (n, n_prime) != (original.dim, projected.dim):
             raise DomainError(f"operator maps n={n} to n'={n_prime}, "
                               f"the data n={original.dim} to n'={projected.dim}")
-    _print_config("verify", args, m=original.m, n=original.dim, nprime=projected.dim)
+    _print_config(args, m=original.m, n=original.dim, nprime=projected.dim)
     report = geometry.distortion_report(original, projected, args.delta)
     print(f"pairs: {report.pair_count} (zero-distance excluded: {report.zero_pairs})")
     print(f"band: [{report.band[0]:.6g}, {report.band[1]:.6g}]")
@@ -171,7 +172,7 @@ def _cmd_verify(args) -> int:
 def _cmd_kmeans_compare(args) -> int:
     if args.partitions < 0:
         raise DomainError(f"--partitions must be >= 0, got {args.partitions}")
-    data, n_prime, orthonormal = _load_input("kmeans-compare", args)
+    data, n_prime, orthonormal = _load_input(args)
     # Each partition's assignments and original-space centroids, kept through the trials.
     check_bytes(8 * (args.partitions + 1) * (data.m + args.k * data.dim),
                 f"a run of {args.partitions + 1} partitions of {data.m} points")
@@ -198,7 +199,7 @@ def _cmd_kmeans_compare(args) -> int:
 
 
 def _cmd_clusterability(args) -> int:
-    data, n_prime, orthonormal = _load_input("clusterability", args)
+    data, n_prime, orthonormal = _load_input(args)
     before = clus.measure(data, args.k)
     print(f"measured: sigma={before.sigma_separatedness:.6g} beta={before.centre_stability_beta:.6g} "
           f"deletion_ratio={1.0 + before.weak_deletion_beta:.6g}")
@@ -266,10 +267,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--nprime", type=int, default=None, help="default: from --epsilon/--delta")
+    given = p.add_mutually_exclusive_group()  # --implicit takes n' from --epsilon/--delta
+    given.add_argument("--nprime", type=int, default=None, help="default: from --epsilon/--delta")
     p.add_argument("--epsilon", type=float, default=None)
     p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--implicit", action="store_true", help="n' by the n-dependent bound, orthonormal rows")
+    given.add_argument("--implicit", action="store_true", help="n' by the n-dependent bound, orthonormal rows")
     p.add_argument("--save-operator", default=None)
     p.add_argument("--format", choices=["binary", "csv"], default="binary")
     p.set_defaults(func=_cmd_project)

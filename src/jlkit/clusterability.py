@@ -198,9 +198,7 @@ def check_perturbation_robustness(
     counted once by ``oracle.count_within``; a non-rival costs more than
     the optimum under every perturbation, so it can never win a trial.
     When the optimum is its own only rival, True is a proof of robustness
-    and no factors are drawn; otherwise it is evidence, not a proof.  Each
-    trial takes ``oracle.optimum`` of the perturbed metric against a bound
-    of 1/s^2 times the optimum, which the perturbed optimum never exceeds.
+    and no factors are drawn; otherwise it is evidence, not a proof.
     """
     if not 0.0 < s < 1.0:
         raise DomainError(f"s must lie in (0, 1), got {s}")
@@ -213,8 +211,7 @@ def check_perturbation_robustness(
     # Every cost term is non-negative, so rounding stays near m^2 eps of the
     # exact costs, far inside the 1e-9 slack.  s is divided out one factor at
     # a time: s**4 underflows to 0 from about s = 1e-81 down.
-    bound = (1.0 + 1e-9) * best
-    if oracle.count_within(sq, k, bound / s / s / s / s) <= 1:
+    if oracle.count_within(sq, k, (1.0 + 1e-9) * best / s / s / s / s) <= 1:
         return True
     rng = np.random.default_rng(seed)
     m = data.m
@@ -225,6 +222,6 @@ def check_perturbation_robustness(
         with np.errstate(over="ignore"):  # an inf perturbed distance is valid oracle input
             # Factors act on distances, costs use squares; a zero distance stays 0, never 0 * inf.
             perturbed = np.multiply(sq, (factors * factors.T) ** 2, out=np.zeros_like(sq), where=sq > 0.0)
-        if not np.array_equal(oracle.optimum(perturbed, k, bound / s / s)[0], reference.assignments):
+        if not np.array_equal(oracle.optimum(perturbed, k)[0], reference.assignments):
             return False
     return True

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InfeasibleError, ShapeError, check_bytes
+from .errors import DomainError, InfeasibleError, check_bytes
 from .kmeans import Partition, is_lloyd_fixed_point
 from .projection import Dataset
 
@@ -60,8 +60,6 @@ def _simplex_centroids(k: int, dim: int, distance: float) -> np.ndarray:
     """
     if k == 1:
         return np.zeros((1, dim))
-    if dim < k - 1:
-        raise ShapeError(f"a regular {k}-simplex needs at least {k - 1} dimensions")
     verts = np.eye(k) * (distance / np.sqrt(2.0))
     verts -= verts.mean(axis=0)
     # Orthonormal basis of the (k-1)-dimensional span, deterministic.

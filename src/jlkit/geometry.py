@@ -297,10 +297,6 @@ def estimate_failure_rate(
 
 def _wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     """95% Wilson score interval of successes/trials; well-behaved at small trial counts."""
-    if trials < 1:
-        raise DomainError("trials must be >= 1")
-    if not 0 <= successes <= trials:
-        raise DomainError("successes must lie in [0, trials]")
     p = successes / trials
     z = 1.959963984540054  # the standard normal quantile of a two-sided 95% interval
     z2 = z * z

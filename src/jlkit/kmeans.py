@@ -201,7 +201,7 @@ def lloyd(data: Dataset, k: int, init: Partition | int = 0) -> tuple[Partition, 
         if init.m != data.m or init.k != k:
             raise ShapeError("initial partition does not match data or k")
         assignments = init.assignments.copy()
-        centroids = cluster_stats(data, init).centroids
+        centroids = np.zeros((k, data.dim))  # the first step fills every (non-empty) cluster's row
     else:
         rng = np.random.default_rng(init)
         centroids = points[rng.choice(data.m, size=k, replace=False)].copy()
@@ -282,9 +282,7 @@ def cost_sandwich_check(
     delta: float,
 ) -> SandwichResult:
     """Check (1-d) J <= (n/n') J' <= (1+d) J for one partition in both spaces."""
-    if stats_original.sizes.shape != stats_projected.sizes.shape or not np.array_equal(
-        stats_original.sizes, stats_projected.sizes
-    ):
+    if not np.array_equal(stats_original.sizes, stats_projected.sizes):
         raise ShapeError("cluster sizes differ: stats were not computed for the same partition")
     adjusted = (n / n_prime) * stats_projected.cost
     j = stats_original.cost

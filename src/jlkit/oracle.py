@@ -11,9 +11,11 @@ small tables of prefixes and completions, not a table of all S(m, k).  For
 m > 8 and sq non-negative, each partition of a group costs at least
 sum_b cost(P_b) |P_b| / (|P_b| + m - 8) over the prefix's blocks P_b: a
 block holds the pairs of its prefix and at most m - 8 more points.  A group
-is skipped when that bound exceeds the caller's upper bound by more than
-1e-9 relative, far above the rounding of these sums of non-negative terms:
-every result is the full enumeration's, bit for bit.
+is skipped when that bound exceeds an upper bound (the cost of a
+farthest-first partition in ``optimum``, the given bound in
+``count_within``) by more than 1e-9 relative, far above the rounding of
+these sums of non-negative terms: every result is the full enumeration's,
+bit for bit.
 """
 
 from __future__ import annotations
@@ -139,9 +141,8 @@ def _group_costs(factors, sq: np.ndarray, block_cost: np.ndarray, bound: float):
 
 def _first_minimum(chunks) -> tuple[int, float]:
     # Index and cost of the first cheapest partition, whatever the chunks' order.
-    found = sorted((int(offsets[i]) + c, costs[i, c]) for offsets, costs in chunks
-                   for i, c in [divmod(int(np.argmin(costs)), costs.shape[1])])
-    index, cost = found[int(np.argmin([cost for _, cost in found]))]
+    cost, index = min((costs[i, c], int(offsets[i]) + c) for offsets, costs in chunks
+                      for i, c in [divmod(int(np.argmin(costs)), costs.shape[1])])
     return index, float(cost)
 
 
@@ -167,17 +168,11 @@ def _greedy_cost(sq: np.ndarray, block_cost: np.ndarray, k: int) -> float:
     return float(sum(block_cost[blocks[np.argsort(blocks & -blocks)]]))
 
 
-def optimum(sq: np.ndarray, k: int, bound: float | None = None) -> tuple[np.ndarray, float]:
-    """Labels (in RGS form) and cost of the first cheapest partition of sq into k blocks.
-
-    ``bound``, an upper bound on the optimum cost, prunes the groups; by
-    default it is the cost of a farthest-first partition.
-    """
+def optimum(sq: np.ndarray, k: int) -> tuple[np.ndarray, float]:
+    """Labels (in RGS form) and cost of the first cheapest partition of sq into k blocks."""
     factors = _factors(sq.shape[0], k)  # checks the size before any allocation
     block_cost = _block_costs(sq)
-    if bound is None:
-        bound = _greedy_cost(sq, block_cost, k)
-    first, cost = _first_minimum(_group_costs(factors, sq, block_cost, bound))
+    first, cost = _first_minimum(_group_costs(factors, sq, block_cost, _greedy_cost(sq, block_cost, k)))
     masks = _partitions_at(factors, np.array([first]))
     return np.argmax((masks >> np.arange(sq.shape[0])) & 1, axis=0), cost
 

@@ -94,6 +94,13 @@ class TestReproduce:
             run(capsys, "reproduce", "table99")
         assert exc.value.code == 2
 
+    def test_seed_for_a_table_exit_2(self, capsys, tmp_path):
+        # Only fig-distortion draws at random; a table would ignore the seed.
+        out_path = tmp_path / "t1.csv"
+        code, out, err = run(capsys, "reproduce", "table1", "--out", str(out_path), "--seed", "5")
+        assert code == 2 and out == ""
+        assert "--seed" in err and not out_path.exists()
+
 
 @pytest.mark.parametrize("argv", [
     ("gen", "--k", "1", "--sizes", "3", "--dim", "2", "--out", "out.bin"),
@@ -212,6 +219,15 @@ class TestPipeline:
             assert json.load(fh)["orthonormal"] == bool(flags)
         expected = project(build_operator(*read_operator(op_path)), load_dataset(data_path)).points
         assert np.array_equal(expected, load_dataset(proj_path).points)
+
+    def test_implicit_with_nprime_exit_2(self, capsys, tmp_path):
+        # --implicit takes n' from the n-aware bound; a given --nprime would override it.
+        data_path, proj_path = str(tmp_path / "d.bin"), tmp_path / "p.bin"
+        save_dataset(Dataset(points=np.random.default_rng(4).standard_normal((20, 50))), data_path)
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "project", "--input", data_path, "--out", str(proj_path), "--implicit", "--nprime", "10")
+        assert exc.value.code == 2
+        assert "--implicit" in capsys.readouterr().err and not proj_path.exists()
 
     def test_translated_dataset_same_verdict(self, capsys, tmp_path):
         # Tight clusters (sigma 0.01) moved to +1e5: every pair's squared

@@ -22,7 +22,7 @@ from jlkit.errors import DegenerateDataError, DomainError
 from jlkit.geometry import sq_dist_matrix
 from jlkit.kmeans import Partition, brute_force_optimum, brute_force_optimum_sq_dists
 from jlkit.projection import Dataset, build_operator, project
-from tests.reference import evict_oracle_tables
+from tests.reference import evict_oracle_tables, seam_chunks
 
 
 def line_dataset(*coords):
@@ -341,6 +341,18 @@ class TestPerturbationRobustness:
             data = project(build_operator(500, 403, 3000 + t), small)
             assert check_perturbation_robustness(data, 3, 0.1, trials=30, seed=100 + t) is expected
             assert oracle_calls[0] == 1
+
+    def test_trials_prune_at_their_own_bound(self, monkeypatch):
+        # The oracle-14 benchmark's set-up call: 25 rivals, so all 30 trials
+        # run, each pruned at its perturbed metric's farthest-first cost.
+        # 133,288 partitions are costed in all, 184,383 with trials pruned at 1/s^2 OPT.
+        small, _ = generate(MixtureSpec(k=3, sizes=(4, 4, 4), dim=500, centre_distance=10.0,
+                                        cluster_sigma=0.05, target_gap=1.0, seed=33))
+        calls = seam_chunks(monkeypatch)
+        s = math.sqrt(required_mult_perturb_s(0.9, 0.95, 0.3))
+        assert check_perturbation_robustness(small, 3, s, trials=30, seed=1) is True
+        assert len(calls) == 32
+        assert sum(costs.size for chunks in calls for _, costs in chunks) <= 150_000
 
     def test_every_partition_a_rival_copies_no_mask_table(self, traced_peak):
         # At (12, 6) and s = 0.1 every one of the 1,323,652 partitions is a

@@ -42,15 +42,3 @@ def test_count_within_skips_no_partition_within_the_bound(m, monkeypatch):
     for sq in pruning_matrices(m, 3, m).values():
         check_counts(sq, 3, calls)
 
-
-@pytest.mark.parametrize("m", range(9, 15))
-def test_tight_bound_gives_the_default_optimum(m):
-    # A bound a hair above OPT prunes more groups than the farthest-first
-    # bound; the first cheapest partition and its cost stay the same.
-    for k in (2, 3):
-        for name, sq in pruning_matrices(m, k, 10 * m + k).items():
-            labels, cost = oracle.optimum(sq, k)
-            tight, tight_cost = oracle.optimum(sq, k, (1.0 + 1e-9) * cost)
-            assert np.array_equal(tight, labels), (k, name)
-            assert tight_cost.hex() == cost.hex(), (k, name)
-
