@@ -54,8 +54,6 @@ def _resolve_n_prime(args, m: int, n: int) -> tuple[int, bool]:
     """
     if args.nprime is not None:
         return args.nprime, False
-    if args.epsilon is None or args.delta is None:
-        raise JlkitError("give --nprime, or --epsilon and --delta for the automatic dimension")
     if not getattr(args, "implicit", False):
         explicit = dimension.explicit_dimension(m, args.epsilon, args.delta)
         if explicit < n:
@@ -68,9 +66,15 @@ def _resolve_n_prime(args, m: int, n: int) -> tuple[int, bool]:
 
 def _load_input(args) -> tuple[Dataset, int, bool]:
     # --input, its n' and whether that n' takes orthonormal rows; prints the
-    # config line.  A given --delta is checked on every route, before any read.
+    # config line.  --delta and the n' options are checked on every route, before any read.
     if args.delta is not None:
         _check_delta(args.delta)
+    if args.nprime is None and (args.epsilon is None or args.delta is None):
+        raise DomainError("give --nprime, or --epsilon and --delta for the automatic dimension")
+    if args.nprime is not None and args.epsilon is not None:
+        raise DomainError("give --nprime or --epsilon, not both: --epsilon only derives n'")
+    if args.nprime is not None and args.command == "project" and args.delta is not None:
+        raise DomainError("give --nprime or --delta, not both: on project --delta only derives n'")
     data = load_dataset(args.input)
     n_prime, orthonormal = _resolve_n_prime(args, m=data.m, n=data.dim)
     _print_config(args, m=data.m, n=data.dim, resolved_nprime=n_prime,
@@ -94,11 +98,9 @@ def _cmd_dim(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
-    if args.seed is not None and args.id != "fig-distortion":
-        raise DomainError(f"--seed applies only to fig-distortion, not {args.id}")
     out = args.out or f"{args.id}.csv"
     _print_config(args, out=out)
-    print(reproduce.write_csv(args.id, out, seed=args.seed))
+    print(reproduce.write_csv(args.id, out))
     return 0
 
 
@@ -135,6 +137,10 @@ def _cmd_project(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.estimate_trials is None and args.base_seed is not None:
+        raise DomainError("--base-seed seeds only the trials of --estimate-trials")
+    if args.estimate_trials is not None and args.base_seed is None:
+        args.base_seed = 0  # echoed in the config line of a run that draws
     original = load_dataset(args.original)
     projected = load_dataset(args.projected)
     # The saved operator's kind is what --estimate-trials redraws, at its n';
@@ -247,7 +253,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reproduce", help="regenerate a published table or figure dataset")
     p.add_argument("id", choices=reproduce.TABLE_IDS + reproduce.FIGURE_IDS)
     p.add_argument("--out", default=None, help="output CSV path (default <id>.csv)")
-    p.add_argument("--seed", type=_seed, default=None, help="override the fig-distortion seed")
     p.set_defaults(func=_cmd_reproduce)
 
     p = sub.add_parser("gen", help="generate a synthetic mixture instance")
@@ -283,7 +288,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--histogram", default=None, help="write quotient histogram CSV")
     p.add_argument("--estimate-trials", type=int, default=None,
                    help="Monte-Carlo failure-rate estimate with this many fresh projections")
-    p.add_argument("--base-seed", type=_seed, default=0)
+    p.add_argument("--base-seed", type=_seed, default=None, help="first trial seed (default 0)")
     p.add_argument("--operator", default=None,
                    help="operator file from project --save-operator; the estimate redraws its row kind")
     p.set_defaults(func=_cmd_verify)

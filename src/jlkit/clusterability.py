@@ -127,9 +127,9 @@ def measure_centre_stability(data: Dataset, partition: Partition) -> float:
     Returns inf when every point sits on its centroid.  A value <= 1
     means the partition is not centre-stable at all.
     """
-    stats = cluster_stats(data, partition)
     if partition.k < 2:
         raise DomainError("centre stability needs at least two clusters")
+    stats = cluster_stats(data, partition)
     dist = np.sqrt(sq_dists_to(data.points, stats.centroids))
     own = dist[np.arange(data.m), partition.assignments]
     dist[np.arange(data.m), partition.assignments] = np.inf  # only foreign centroids remain

@@ -104,11 +104,11 @@ def pair_failure_bound(n_prime: int, n: int, delta: float) -> float:
 
 def domain_edge(n: int, delta: float) -> int:
     """Largest n' with n' (1 + delta) < n whose float n' delta / (n - n') is also below 1."""
+    # For n < 2^53 no n' above int(fl(n / (1 + delta))) passes the first test; from
+    # 2^53 on, float n' skips integers and the n' found passes both, but may not be the largest.
     edge = int(n / (1.0 + delta))
     while edge * (1.0 + delta) >= n or edge * delta / (n - edge) >= 1.0:
         edge -= 1
-    while (edge + 1) * (1.0 + delta) < n and (edge + 1) * delta / (n - edge - 1) < 1.0:
-        edge += 1
     return edge
 
 

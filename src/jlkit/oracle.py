@@ -146,13 +146,6 @@ def _first_minimum(chunks) -> tuple[int, float]:
     return index, float(cost)
 
 
-def _partitions_at(factors, index: np.ndarray) -> np.ndarray:
-    # The k x len(index) uint16 block bitmasks of the partitions at the RGS indices index.
-    prefix, base, _, comps, starts, _ = factors
-    q = np.searchsorted(starts, index, side="right") - 1
-    return (prefix[:, q] | comps[:, base[q] + index - starts[q]] << _PREFIX).astype(np.uint16)
-
-
 def _greedy_cost(sq: np.ndarray, block_cost: np.ndarray, k: int) -> float:
     # The cost of a farthest-first partition (k centres from element 0, each
     # point with its nearest), added block by block in RGS order as a
@@ -173,8 +166,10 @@ def optimum(sq: np.ndarray, k: int) -> tuple[np.ndarray, float]:
     factors = _factors(sq.shape[0], k)  # checks the size before any allocation
     block_cost = _block_costs(sq)
     first, cost = _first_minimum(_group_costs(factors, sq, block_cost, _greedy_cost(sq, block_cost, k)))
-    masks = _partitions_at(factors, np.array([first]))
-    return np.argmax((masks >> np.arange(sq.shape[0])) & 1, axis=0), cost
+    prefix, base, _, comps, starts, _ = factors
+    q = np.searchsorted(starts, first, side="right") - 1  # its prefix group
+    masks = prefix[:, q] | comps[:, base[q] + first - starts[q]] << _PREFIX
+    return np.argmax((masks[:, None] >> np.arange(sq.shape[0])) & 1, axis=0), cost
 
 
 def count_within(sq: np.ndarray, k: int, bound: float) -> int:

@@ -89,15 +89,13 @@ def _figure_gap():
     return header, rows
 
 
-def _figure_distortion(path: str, seed: int | None = None):
-    p = dict(_DISTORTION_PARAMS)
-    if seed is not None:
-        p["seed"] = seed
-    n_prime = explicit_dimension(p["m"], p["epsilon"], p["delta"])
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=p["seed"], spawn_key=(0,)))
-    data = Dataset(points=rng.standard_normal((p["m"], p["n"])))
-    op = build_operator(p["n"], n_prime, p["seed"])
-    report = distortion_report(data, project(op, data), p["delta"])
+def _figure_distortion(path: str):
+    m, epsilon, delta, n, seed = _DISTORTION_PARAMS.values()
+    n_prime = explicit_dimension(m, epsilon, delta)
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0,)))
+    data = Dataset(points=rng.standard_normal((m, n)))
+    op = build_operator(n, n_prime, seed)
+    report = distortion_report(data, project(op, data), delta)
     export_histogram(report, path)
     return n_prime, report
 
@@ -118,13 +116,13 @@ def reproduce(ident: str):
     raise DomainError(f"unknown reproduction id {ident!r}")
 
 
-def write_csv(ident: str, path: str, seed: int | None = None):
+def write_csv(ident: str, path: str):
     """Generate one table or figure dataset and write it to ``path``.
 
     Returns a short human-readable summary string.
     """
     if ident == "fig-distortion":
-        n_prime, report = _figure_distortion(path, seed=seed)
+        n_prime, report = _figure_distortion(path)
         return (
             f"fig-distortion: n'={n_prime}, pairs={report.pair_count}, "
             f"violations={report.violations}, success={report.success} -> {path}"

@@ -95,11 +95,12 @@ class TestReproduce:
         assert exc.value.code == 2
 
     def test_seed_for_a_table_exit_2(self, capsys, tmp_path):
-        # Only fig-distortion draws at random; a table would ignore the seed.
+        # reproduce takes no seed: fig-distortion draws with the published one.
         out_path = tmp_path / "t1.csv"
-        code, out, err = run(capsys, "reproduce", "table1", "--out", str(out_path), "--seed", "5")
-        assert code == 2 and out == ""
-        assert "--seed" in err and not out_path.exists()
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "reproduce", "table1", "--out", str(out_path), "--seed", "5")
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err and not out_path.exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -496,6 +497,41 @@ def test_delta_domain_on_every_route(capsys, tmp_path, oracle_calls, command, de
     assert oracle_calls[0] == 0 and not (tmp_path / "p.bin").exists()
 
 
+@pytest.mark.parametrize("argv, named", [
+    (("project", "--out", "p.bin", "--delta", "0.2"), "--epsilon"),
+    (("project", "--out", "p.bin", "--epsilon", "0.1"), "--epsilon"),
+    (("kmeans-compare", "--k", "2", "--delta", "0.2"), "--epsilon"),
+    (("project", "--out", "p.bin", "--nprime", "5", "--epsilon", "0.1"), "--epsilon"),
+    (("kmeans-compare", "--k", "2", "--delta", "0.2", "--nprime", "5", "--epsilon", "0.1"), "--epsilon"),
+    (("clusterability", "--k", "2", "--delta", "0.2", "--nprime", "5", "--epsilon", "0.1"), "--epsilon"),
+    (("project", "--out", "p.bin", "--nprime", "5", "--delta", "0.2"), "--delta"),
+], ids=["project-delta-alone", "project-epsilon-alone", "kmeans-compare-no-nprime", "project-nprime-epsilon",
+        "kmeans-compare-nprime-epsilon", "clusterability-nprime-epsilon", "project-nprime-delta"])
+def test_n_prime_options_without_effect_exit_2(capsys, tmp_path, monkeypatch, argv, named):
+    # Refused before the input is read: it does not exist.
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run(capsys, *argv, "--input", "missing.bin")
+    assert code == 2
+    assert err.startswith("error: ") and named in err and not (tmp_path / "p.bin").exists()
+
+
+def test_verify_base_seed_without_estimate_exit_2(capsys, tmp_path):
+    # Refused before either file is read; a run that draws echoes its seed, one that does not, none.
+    code, _, err = run(capsys, "verify", "--original", str(tmp_path / "a.bin"), "--projected",
+                       str(tmp_path / "b.bin"), "--delta", "0.3", "--base-seed", "5")
+    assert code == 2 and err.startswith("error: --base-seed")
+    data = Dataset(points=np.random.default_rng(5).standard_normal((10, 60)))
+    save_dataset(data, str(tmp_path / "a.bin"))
+    save_dataset(Dataset(points=data.points[:, :20]), str(tmp_path / "b.bin"))
+    configs = []
+    for extra in ((), ("--estimate-trials", "2")):
+        code, out, _ = run(capsys, "verify", "--original", str(tmp_path / "a.bin"), "--projected",
+                           str(tmp_path / "b.bin"), "--delta", "0.3", *extra)
+        assert code == 0
+        configs.append(out.splitlines()[0])
+    assert " base_seed=" not in configs[0] and " base_seed=0 " in configs[1]
+
+
 class TestKmeansCompare:
     def test_translated_data_exit_0(self, capsys, tmp_path):
         data_path = str(tmp_path / "shifted.bin")
@@ -640,7 +676,7 @@ class TestClusterability:
         run(capsys, "gen", "--k", "2", "--sizes", "5,5", "--dim", "500", "--distance", "10",
             "--sigma", "0.05", "--gap", "1", "--seed", "33", "--out", data_path)
         code, _, _ = run(capsys, "clusterability", "--input", data_path, "--k", "2", "--delta", "0.3",
-                         "--epsilon", "0.1", "--nprime", "368", "--trials", "20", "--seed", "0",
+                         "--nprime", "368", "--trials", "20", "--seed", "0",
                          "--out", report)
         assert code == 0
         with open(report, newline="") as fh:
@@ -687,7 +723,7 @@ class TestClusterability:
             "--out", data_path)
         code, out, _ = run(
             capsys, "clusterability", "--input", data_path, "--k", "2",
-            "--delta", "0.3", "--epsilon", "0.2", "--nprime", "120",
+            "--delta", "0.3", "--nprime", "120",
             "--trials", "3", "--seed", "0", "--out", report,
         )
         assert code == 0

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -198,6 +199,7 @@ class TestImplicit:
             (2_000_000, 0.01, 0.05, 500_000, 49098),
             (2_000_000, 0.01, 0.05, 1_000_000, 51701),
             (5000, 0.01, 0.05, 500_000, 32645),
+            (2, 0.9, 0.99, 1000, 2),  # the bracket's low end already satisfies the bound
         ],
     )
     def test_exact_boundaries(self, m, eps, delta, n, exact):
@@ -233,6 +235,21 @@ class TestImplicit:
         # table builder, not in the solver.
         _, rows = reproduce("table3")
         assert rows[-1] == [0.01, 1_353_858, 1_353_859, "1"]
+
+    def test_domain_edge_is_the_largest_n_prime_inside(self):
+        # The largest n' passing both float tests of the bound's domain, also
+        # at n the floor or ceiling of K (1 + delta), where the tests are tightest.
+        def inside(n_prime, n, delta):
+            return n_prime * (1.0 + delta) < n and n_prime * delta / (n - n_prime) < 1.0
+
+        rng = np.random.default_rng(33)
+        for _ in range(2000):
+            delta = 2.0 ** rng.uniform(-60, 0) if rng.random() < 0.7 else 1.0 - 10.0 ** rng.uniform(-9, -1)
+            k = int(2 ** rng.uniform(1, 50))
+            scaled = Fraction(k) * (1 + Fraction(delta))
+            for n in (math.floor(scaled), math.ceil(scaled), int(rng.integers(2, 2**52))):
+                edge = domain_edge(n, delta)
+                assert max(c for c in range(edge - 2, edge + 3) if inside(c, n, delta)) == edge
 
     def test_strict_mode_solves_in_domain(self):
         strict = implicit_dimension(2_000_000, 0.01, 0.01, 500_000)

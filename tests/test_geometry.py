@@ -199,6 +199,11 @@ class TestDistortionReport:
         with pytest.raises(ShapeError):
             distortion_report(a, b, 0.1)
 
+    def test_wider_projection_rejected(self):
+        pts = np.random.default_rng(1).standard_normal((4, 3))
+        with pytest.raises(ShapeError, match="exceeds"):
+            distortion_report(Dataset(points=pts[:, :2]), Dataset(points=pts), 0.1)
+
 
 class TestFailureRate:
     def test_deterministic(self):
@@ -206,6 +211,10 @@ class TestFailureRate:
         a = estimate_failure_rate(data, 20, 0.3, trials=10, base_seed=11)
         b = estimate_failure_rate(data, 20, 0.3, trials=10, base_seed=11)
         assert a == b
+
+    def test_all_coincident_rejected(self):
+        with pytest.raises(DegenerateDataError):
+            estimate_failure_rate(Dataset(points=np.ones((4, 3))), 2, 0.1, trials=1, base_seed=0)
 
     # delta = 3 puts the band edge some 15 quotient deviations (~sqrt(2/n')) out.
     @pytest.mark.parametrize("n_prime, delta, failures", [(50, 3.0, 0), (4, 0.5, 3)])

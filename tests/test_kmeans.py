@@ -894,6 +894,12 @@ class TestCostSandwich:
         res = cost_sandwich_check(stats, shrunk, 1, 1, 0.1)
         assert not res.passed
 
+    def test_different_partitions_rejected(self):
+        data = line_dataset(0, 1, 10, 11)
+        stats = [cluster_stats(data, Partition(assignments=np.array(a), k=2)) for a in ([0, 0, 1, 1], [0, 1, 1, 1])]
+        with pytest.raises(ShapeError, match="sizes differ"):
+            cost_sandwich_check(*stats, 1, 1, 0.1)
+
     def test_trials_match_hand_loop(self):
         rng = np.random.default_rng(13)
         data = Dataset(points=rng.standard_normal((40, 30)))
@@ -924,6 +930,11 @@ class TestGlobalTransfer:
         data = line_dataset(0, 3, 9)
         res = global_optimum_transfer_check(data, Dataset(points=data.points[:, :1]), 3, 0.2)
         assert res.forward_ok and res.reverse_ok
+
+    def test_different_point_counts_rejected(self):
+        data = line_dataset(0, 3, 9)
+        with pytest.raises(ShapeError, match="point count"):
+            global_optimum_transfer_check(data, Dataset(points=data.points[:2]), 2, 0.2)
 
     def test_k1_reduces_to_sandwich(self):
         rng = np.random.default_rng(13)
